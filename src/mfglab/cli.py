@@ -55,7 +55,7 @@ from .nagent import (
     nash_gap,
     nash_to_csv,
 )
-from .validation import validate_game
+from .validation import check_coefficient_shapes, validate_game
 
 
 class ConfigError(Exception):
@@ -581,6 +581,8 @@ def main(argv=None):
     try:
         if args.command == "validate":
             return cmd_validate(plan, args.workers)
+        # misshapen coefficients would broadcast silently in the solver
+        check_coefficient_shapes(plan["game"])
         if args.command == "solve":
             return cmd_solve(plan, args.workers, args.allow_nonconverged)
         if args.command == "chaos":

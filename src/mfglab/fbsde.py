@@ -19,9 +19,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .hamiltonian import dx_hamiltonian_batch, minimize_controls
+from .hamiltonian import drift_batch, dx_hamiltonian_batch, minimize_controls
 from .measures import MeasureFlow, ParticleCloud, TimeGrid
-from .model import COMPETITIVE, COOPERATIVE
+from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import substream
 
 
@@ -175,38 +175,74 @@ def _sigma_dw(pop, t, X, mu, nus, dWk):
     return out
 
 
-def _drift(pop, t, X, mu, nus, alpha):
-    b0 = np.asarray(pop.drift.b0(t, mu, nus), dtype=float)
-    b1 = np.asarray(pop.drift.b1(t, mu, nus), dtype=float)
-    b2 = np.asarray(pop.drift.b2(t, mu, nus), dtype=float)
-    out = b0[None, :] + X @ b1.T + alpha @ b2.T
-    if pop.drift.b1_bar is not None:
-        b1b = np.asarray(pop.drift.b1_bar(t, nus), dtype=float)
-        out = out + (b1b @ mu.mean)[None, :]
-    return out
-
-
-def _forward(spec, i, grid, xi, dW, flows, control_fn, mkv):
-    """Euler states under a feedback; returns paths, controls, own clouds."""
+def solver_draws(spec, i, n, grid, seed):
+    """Initial states (n, d) and scaled Brownian increments (K, n, d) of
+    population i's solver batch, from its model-init and fbsde substreams."""
     pop = spec.populations[i]
+    d = pop.state_dim
+    xi = np.asarray(
+        pop.initial_law(substream(seed, "model-init:%d" % i), n), dtype=float
+    ).reshape(n, d)
+    dW = substream(seed, "fbsde:%d" % i).standard_normal(
+        (grid.n_steps, n, d)
+    ) * np.sqrt(grid.dt)
+    return xi, dW
+
+
+def euler_scheme(spec, grid, simulated, xis, dWs, controls, flows=None,
+                 live=False):
+    """Forward Euler for a set of populations stepped together.
+
+    simulated lists population indices; xis[q] (n, d), dWs[q] (K, n, d) and
+    controls[q](k, t, X, mu, nus) -> (n, k) belong to population
+    simulated[q]. A simulated population's measure slot reads the live
+    cloud of its particles when live is set; every other slot reads that
+    population's frozen flow. At each knot k = 0..K this yields
+    (k, states, measures, alphas), with measures[q] = (mu, nus) the
+    measure arguments of simulated[q] and alphas its controls (None at the
+    terminal knot), and then steps every state to X + b dt + sigma dW.
+    """
     K = grid.n_steps
-    n, d = xi.shape
-    k_dim = pop.action_set.dimension
-    others = spec.others(i)
-    X = np.empty((K + 1, n, d))
-    X[0] = xi
-    controls = np.empty((K, n, k_dim))
-    clouds = [None] * (K + 1)
-    for k in range(K):
+    states = list(xis)
+    for k in range(K + 1):
         t = grid.times[k]
-        mu = ParticleCloud(X[k]) if mkv else flows[i].clouds[k]
-        clouds[k] = mu
-        nus = tuple(flows[j].clouds[k] for j in others)
-        alpha = control_fn(k, t, X[k], mu, nus)
-        controls[k] = alpha
-        b = _drift(pop, t, X[k], mu, nus, alpha)
-        X[k + 1] = X[k] + b * grid.dt + _sigma_dw(pop, t, X[k], mu, nus, dW[k])
-    clouds[K] = ParticleCloud(X[K]) if mkv else flows[i].clouds[K]
+        clouds = {j: flow.clouds[k] for j, flow in enumerate(flows or ())}
+        if live:
+            for j, X in zip(simulated, states):
+                clouds[j] = ParticleCloud(X)
+        measures = [measure_args(spec, j, clouds) for j in simulated]
+        if k == K:
+            yield k, states, measures, None
+            return
+        alphas = [
+            control(k, t, X, mu, nus)
+            for control, X, (mu, nus) in zip(controls, states, measures)
+        ]
+        yield k, states, measures, alphas
+        states = [
+            X + drift_batch(spec, j, t, X, mu, nus, alpha) * grid.dt
+            + _sigma_dw(spec.populations[j], t, X, mu, nus, dW[k])
+            for j, X, (mu, nus), alpha, dW in zip(
+                simulated, states, measures, alphas, dWs)
+        ]
+
+
+def _forward(spec, i, grid, xi, dW, flows, control_fn, mkv,
+             keep_controls=False):
+    """Euler paths of population i under a feedback, with its own measure
+    argument at each knot; the controls (K, n, k) too when kept."""
+    X = np.empty((grid.n_steps + 1,) + xi.shape)
+    controls = None
+    if keep_controls:
+        controls = np.empty((grid.n_steps, len(xi),
+                             spec.populations[i].action_set.dimension))
+    clouds = []
+    for k, states, measures, alphas in euler_scheme(
+            spec, grid, (i,), [xi], [dW], [control_fn], flows, live=mkv):
+        X[k] = states[0]
+        clouds.append(measures[0][0])
+        if keep_controls and alphas is not None:
+            controls[k] = alphas[0]
     return X, controls, clouds
 
 
@@ -276,12 +312,7 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     d = pop.state_dim
     n = cfg.n_paths
 
-    xi = np.asarray(
-        pop.initial_law(substream(seed, "model-init:%d" % i), n), dtype=float
-    ).reshape(n, d)
-    dW = substream(seed, "fbsde:%d" % i).standard_normal((K, n, d)) * np.sqrt(
-        grid.dt
-    )
+    xi, dW = solver_draws(spec, i, n, grid, seed)
 
     others = spec.others(i)
     muT = flows[i].clouds[K]
@@ -332,7 +363,8 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     # one consistent pass with the converged field, so the stored paths,
     # controls, and adjoint values belong together
     X, controls, clouds = _forward(
-        spec, i, grid, xi, dW, flows, control_from(field.eval), mkv
+        spec, i, grid, xi, dW, flows, control_from(field.eval), mkv,
+        keep_controls=True,
     )
     Y, Z = _backward(spec, i, grid, X, dW, flows, clouds, cfg.degree, mkv)
     return FbsdeSolution(
@@ -459,13 +491,7 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
     K = grid.n_steps
     k_dim = pop.action_set.dimension
 
-    xi = np.asarray(
-        pop.initial_law(substream(solution.seed, "model-init:%d" % i),
-                        cfg_like_n), dtype=float
-    ).reshape(cfg_like_n, pop.state_dim)
-    dW = substream(solution.seed, "fbsde:%d" % i).standard_normal(
-        (K, cfg_like_n, pop.state_dim)
-    ) * np.sqrt(grid.dt)
+    xi, dW = solver_draws(spec, i, cfg_like_n, grid, solution.seed)
     if not np.array_equal(xi, solution.X[0]):
         raise ValueError("solution was not produced from this seed")
 
@@ -490,7 +516,8 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
             return pop.action_set.project(base + c[None, :])
 
         Xd, controls_d, clouds_d = _forward(spec, i, grid, xi, dW, flows,
-                                            control_fn, mkv)
+                                            control_fn, mkv,
+                                            keep_controls=True)
         dev_costs = _path_costs(spec, i, grid, Xd, controls_d, clouds_d, flows)
         gap2 = np.zeros(cfg_like_n)
         for k in range(K):

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fbsde import SolverConfig, _drift, _sigma_dw, optimal_cost, solve_adjoint
+from .fbsde import (
+    SolverConfig,
+    euler_scheme,
+    optimal_cost,
+    solve_adjoint,
+    solver_draws,
+)
 from .measures import (
     MeasureFlow,
     ParticleCloud,
@@ -109,43 +115,16 @@ def uncontrolled_flows(spec, n_steps, n_paths, seed):
     """
     grid = TimeGrid(spec.horizon, n_steps)
     m = spec.n_populations
-    K = grid.n_steps
-    states = []
-    dWs = []
-    anchors = []
-    for i, pop in enumerate(spec.populations):
-        d = pop.state_dim
-        xi = np.asarray(
-            pop.initial_law(substream(seed, "model-init:%d" % i), n_paths),
-            dtype=float,
-        ).reshape(n_paths, d)
-        states.append(xi)
-        dWs.append(
-            substream(seed, "fbsde:%d" % i).standard_normal((K, n_paths, d))
-            * np.sqrt(grid.dt)
-        )
-        anchors.append(
-            np.tile(pop.action_set.anchor_point, (n_paths, 1))
-        )
-    clouds_by_pop = [[] for _ in range(m)]
-    for k in range(K):
-        t = grid.times[k]
-        clouds_k = [ParticleCloud(states[i]) for i in range(m)]
-        for i in range(m):
-            clouds_by_pop[i].append(clouds_k[i])
-        new_states = []
-        for i, pop in enumerate(spec.populations):
-            mu = clouds_k[i]
-            nus = tuple(clouds_k[j] for j in spec.others(i))
-            b = _drift(pop, t, states[i], mu, nus, anchors[i])
-            new_states.append(
-                states[i] + b * grid.dt
-                + _sigma_dw(pop, t, states[i], mu, nus, dWs[i][k])
-            )
-        states = new_states
-    for i in range(m):
-        clouds_by_pop[i].append(ParticleCloud(states[i]))
-    return [MeasureFlow(grid, clouds_by_pop[i]) for i in range(m)]
+    xis, dWs = zip(*(solver_draws(spec, i, n_paths, grid, seed)
+                     for i in range(m)))
+    anchors = [np.tile(pop.action_set.anchor_point, (n_paths, 1))
+               for pop in spec.populations]
+    steps = euler_scheme(
+        spec, grid, range(m), xis, dWs,
+        [lambda k, t, X, mu, nus, a=a: a for a in anchors], live=True,
+    )
+    clouds = [[mu for mu, _ in measures] for _, _, measures, _ in steps]
+    return [MeasureFlow(grid, column) for column in zip(*clouds)]
 
 
 def _mix_flows(old, new, theta, mix, seed, iteration, index):

@@ -114,7 +114,8 @@ def minimize(ctx, tol=1e-10, max_iter=10000):
     return out[0] if single_x else out
 
 
-def _drift_batch(spec, i, t, X, mu, nus, alpha):
+def drift_batch(spec, i, t, X, mu, nus, alpha):
+    """Drift of population i for a particle batch X (n, d) under alpha (n, k)."""
     pop = spec.populations[i]
     b0 = np.asarray(pop.drift.b0(t, mu, nus), dtype=float)
     b1 = np.asarray(pop.drift.b1(t, mu, nus), dtype=float)
@@ -136,7 +137,7 @@ def reduced_hamiltonian(ctx, alpha):
         A = np.broadcast_to(A, (X.shape[0], A.shape[1]))
     if Y.shape[0] != X.shape[0]:
         Y = np.broadcast_to(Y, X.shape)
-    b = _drift_batch(ctx.spec, ctx.population, ctx.t, X, ctx.mu, ctx.nus, A)
+    b = drift_batch(ctx.spec, ctx.population, ctx.t, X, ctx.mu, ctx.nus, A)
     val = np.sum(b * Y, axis=1) + np.asarray(
         pop.cost.f(ctx.t, X, ctx.mu, ctx.nus, A), dtype=float)
     return float(val[0]) if single else val

@@ -45,9 +45,6 @@ class TimeGrid:
     def __repr__(self):
         return "TimeGrid(horizon=%r, n_steps=%d)" % (self.horizon, self.n_steps)
 
-    def refined(self, factor):
-        return TimeGrid(self.horizon, self.n_steps * int(factor))
-
 
 class ParticleCloud:
     """Uniformly weighted empirical measure given by its particle rows.
@@ -134,19 +131,6 @@ class MeasureFlow:
 
     def __iter__(self):
         return iter(self.clouds)
-
-    def holder_constant(self, n_projections=64, seed=0):
-        """Fitted constant of the square-root-in-time continuity proxy.
-
-        Returns max_k W2(mu_k, mu_{k+1}) / sqrt(dt) over adjacent knots, an
-        empirical stand-in for the 1/2-Holder modulus of the flow.
-        """
-        best = 0.0
-        rdt = np.sqrt(self.grid.dt)
-        for k in range(len(self.clouds) - 1):
-            d = _cloud_w2(self.clouds[k], self.clouds[k + 1], n_projections, seed)
-            best = max(best, d / rdt)
-        return best
 
 
 def empirical_from_states(grid, states):
@@ -267,12 +251,6 @@ def sliced_w2(a, b, n_projections=64, seed=0, return_slices=False):
     return out
 
 
-def _cloud_w2(a, b, n_projections, seed):
-    if a.dim == 1:
-        return wasserstein2_1d_any(a, b)
-    return sliced_w2(a, b, n_projections=n_projections, seed=seed)
-
-
 def flow_distance(f1, f2, n_projections=64, seed=0):
     """Max over knots of the cloud distance (exact in d = 1, sliced else)."""
     if f1.grid != f2.grid:
@@ -280,7 +258,7 @@ def flow_distance(f1, f2, n_projections=64, seed=0):
     if f1.dim != f2.dim:
         raise ValueError("flows have different state dimensions")
     return max(
-        _cloud_w2(c1, c2, n_projections, seed)
+        sliced_w2(c1, c2, n_projections=n_projections, seed=seed)
         for c1, c2 in zip(f1.clouds, f2.clouds)
     )
 

@@ -31,9 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ParticleCloud
-from .rng import substream
-
 COMPETITIVE = "competitive"
 COOPERATIVE = "cooperative"
 

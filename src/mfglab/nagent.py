@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbsde import _drift, _sigma_dw, _trapezoid_weights, solve_adjoint
+from .fbsde import _trapezoid_weights, euler_scheme, solve_adjoint
 from .hamiltonian import minimize_controls
-from .measures import MeasureFlow, ParticleCloud, sliced_w2, wasserstein2_1d_any
+from .measures import MeasureFlow, ParticleCloud, sliced_w2
 from .model import COMPETITIVE, COOPERATIVE
 from .rng import parallel_map, substream
 
@@ -85,16 +85,17 @@ def _agent_stream(seed, rep, pop, agent):
     return substream(seed, "nagent:rep:%d:pop:%d:agent:%d" % (rep, pop, agent))
 
 
-def _draw_bundles(spec, i, n_steps, n_agents, seed, rep, dt):
-    """Per-agent initial draws and Brownian increments, in tag order."""
+def _draw_bundles(spec, i, n_steps, tags, seed, rep, dt):
+    """Initial draws and Brownian increments of the given agent tags, in
+    the order given."""
     pop = spec.populations[i]
     d = pop.state_dim
-    xi = np.empty((n_agents, d))
-    dW = np.empty((n_steps, n_agents, d))
-    for p in range(n_agents):
+    xi = np.empty((len(tags), d))
+    dW = np.empty((n_steps, len(tags), d))
+    for idx, p in enumerate(tags):
         rng = _agent_stream(seed, rep, i, p)
-        xi[p] = np.asarray(pop.initial_law(rng, 1), dtype=float).reshape(d)
-        dW[:, p, :] = rng.standard_normal((n_steps, d))
+        xi[idx] = np.asarray(pop.initial_law(rng, 1), dtype=float).reshape(d)
+        dW[:, idx, :] = rng.standard_normal((n_steps, d))
     return xi, dW * np.sqrt(dt)
 
 
@@ -257,14 +258,30 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         for i in range(m)
     ]
     deviating = deviating or {}
+    open_loop_controls = open_loop_controls or {}
 
-    states = []
-    dWs = []
-    for i in range(m):
-        xi, dW = _draw_bundles(spec, i, K, sizes[i], seed, rep, grid.dt)
-        states.append(xi)
-        dWs.append(dW)
+    def control(i):
+        feedback = feedbacks[i]
+        if i not in deviating:
+            return lambda k, t, X, mu, nus: feedback(k, t, X)
+        mask, dev_fn = deviating[i]
+        fixed = open_loop_controls.get(i)
 
+        def fn(k, t, X, mu, nus):
+            alpha = feedback(k, t, X)
+            # full-batch evaluation keeps the floating-point path identical
+            # to the baseline's, so a deviation that maps to the equilibrium
+            # feedback costs exactly zero
+            alpha[mask] = (fixed[k] if fixed is not None
+                           else dev_fn(k, t, X)[mask])
+            return alpha
+
+        return fn
+
+    xis, dWs = zip(*(
+        _draw_bundles(spec, i, K, range(sizes[i]), seed, rep, grid.dt)
+        for i in range(m)
+    ))
     w = _trapezoid_weights(grid)
     paths = [np.empty((K + 1, sizes[i], spec.populations[i].state_dim))
              for i in range(m)]
@@ -272,59 +289,27 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         np.empty((K, sizes[i], spec.populations[i].action_set.dimension))
         for i in range(m)
     ]
-    run_costs = [np.zeros(sizes[i]) for i in range(m)]
-    for i in range(m):
-        paths[i][0] = states[i]
-
-    for k in range(K):
+    costs = [np.zeros(sizes[i]) for i in range(m)]
+    steps = euler_scheme(spec, grid, range(m), xis, dWs,
+                         [control(i) for i in range(m)], flows,
+                         live=interacting)
+    for k, states, measures, alphas in steps:
         t = grid.times[k]
-        if interacting:
-            clouds_k = [ParticleCloud(states[i]) for i in range(m)]
-        else:
-            clouds_k = [flows[i].clouds[k] for i in range(m)]
-        for i in range(m):
+        for i, (mu, nus) in enumerate(measures):
             pop = spec.populations[i]
-            mu = clouds_k[i]
-            nus = tuple(clouds_k[j] for j in spec.others(i))
-            alpha = feedbacks[i](k, t, states[i])
-            if i in deviating:
-                mask, dev_fn = deviating[i]
-                if i in (open_loop_controls or {}):
-                    alpha[mask] = open_loop_controls[i][k]
-                else:
-                    # full-batch evaluation keeps the floating-point path
-                    # identical to the baseline's, so a deviation that maps
-                    # to the equilibrium feedback costs exactly zero
-                    alpha[mask] = dev_fn(k, t, states[i])[mask]
-            controls[i][k] = alpha
-            run_costs[i] += w[k] * np.asarray(
-                pop.cost.f(t, states[i], mu, nus, alpha), dtype=float
+            paths[i][k] = states[i]
+            if alphas is not None:
+                controls[i][k] = alphas[i]
+            costs[i] += w[k] * np.asarray(
+                pop.cost.f(t, states[i], mu, nus, controls[i][min(k, K - 1)]),
+                dtype=float,
             )
-            states[i] = (
-                states[i]
-                + _drift(pop, t, states[i], mu, nus, alpha) * grid.dt
-                + _sigma_dw(pop, t, states[i], mu, nus, dWs[i][k])
-            )
-            paths[i][k + 1] = states[i]
+            if k == K:
+                costs[i] += np.asarray(pop.cost.g(states[i], mu, nus),
+                                       dtype=float)
 
-    if interacting:
-        clouds_T = [ParticleCloud(states[i]) for i in range(m)]
-    else:
-        clouds_T = [flows[i].clouds[K] for i in range(m)]
-    costs = []
     modes = []
     for i in range(m):
-        pop = spec.populations[i]
-        mu = clouds_T[i]
-        nus = tuple(clouds_T[j] for j in spec.others(i))
-        run_costs[i] += w[K] * np.asarray(
-            pop.cost.f(grid.times[K], states[i], mu, nus, controls[i][K - 1]),
-            dtype=float,
-        )
-        total = run_costs[i] + np.asarray(
-            pop.cost.g(states[i], mu, nus), dtype=float
-        )
-        costs.append(total)
         mode_row = ["mean-field-feedback"] * sizes[i]
         if i in deviating:
             mask = deviating[i][0]
@@ -437,27 +422,11 @@ def _iid_bulk_flow(spec, equilibrium, i, n, rng):
     xi = np.asarray(pop.initial_law(rng, n), dtype=float).reshape(n, d)
     dW = rng.standard_normal((K, n, d)) * np.sqrt(grid.dt)
     X = np.empty((K + 1, n, d))
-    X[0] = xi
-    state = xi
-    for k in range(K):
-        t = grid.times[k]
-        mu = flows[i].clouds[k]
-        nus = tuple(flows[j].clouds[k] for j in spec.others(i))
-        alpha = feedback(k, t, state)
-        state = (
-            state
-            + _drift(pop, t, state, mu, nus, alpha) * grid.dt
-            + _sigma_dw(pop, t, state, mu, nus, dW[k])
-        )
-        X[k + 1] = state
+    for k, states, _, _ in euler_scheme(
+            spec, grid, (i,), [xi], [dW],
+            [lambda k, t, X, mu, nus: feedback(k, t, X)], flows):
+        X[k] = states[0]
     return X
-
-
-def _w2sq(points_a, ref_cloud):
-    a = ParticleCloud(points_a)
-    if a.dim == 1:
-        return wasserstein2_1d_any(a, ref_cloud) ** 2
-    return sliced_w2(a, ref_cloud) ** 2
 
 
 def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
@@ -508,8 +477,9 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
                     pts = sys_max.paths[i][k][:n]
-                    full[i, a, k] = _w2sq(pts, ref_clouds[i][k])
-                    half[i, a, k] = _w2sq(pts, half_clouds[i][k])
+                    cloud = ParticleCloud(pts)
+                    full[i, a, k] = sliced_w2(cloud, ref_clouds[i][k]) ** 2
+                    half[i, a, k] = sliced_w2(cloud, half_clouds[i][k]) ** 2
         return full, half
 
     results = parallel_map(one_rep, list(range(repetitions)), workers=workers)
@@ -713,32 +683,16 @@ def _validate_mode(spec, mode, population):
 def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
     """Precommitted control paths: evaluate the deviation feedback along
     the deviator's own i.i.d. copy path (same bundle, frozen flows)."""
-    pop = spec.populations[i]
     grid = equilibrium.flows[0].grid
     K = grid.n_steps
-    d = pop.state_dim
-    flows = equilibrium.flows
-    n = len(tags)
-    xi = np.empty((n, d))
-    dW = np.empty((K, n, d))
-    for idx, p in enumerate(tags):
-        rng = _agent_stream(seed, rep, i, int(p))
-        xi[idx] = np.asarray(pop.initial_law(rng, 1), dtype=float).reshape(d)
-        dW[:, idx, :] = rng.standard_normal((K, d))
-    dW *= np.sqrt(grid.dt)
-    out = np.empty((K, n, pop.action_set.dimension))
-    state = xi
-    for k in range(K):
-        t = grid.times[k]
-        mu = flows[i].clouds[k]
-        nus = tuple(flows[j].clouds[k] for j in spec.others(i))
-        alpha = dev_fn(k, t, state)
-        out[k] = alpha
-        state = (
-            state
-            + _drift(pop, t, state, mu, nus, alpha) * grid.dt
-            + _sigma_dw(pop, t, state, mu, nus, dW[k])
-        )
+    pop = spec.populations[i]
+    xi, dW = _draw_bundles(spec, i, K, tags, seed, rep, grid.dt)
+    out = np.empty((K, len(tags), pop.action_set.dimension))
+    for k, _, _, alphas in euler_scheme(
+            spec, grid, (i,), [xi], [dW],
+            [lambda k, t, X, mu, nus: dev_fn(k, t, X)], equilibrium.flows):
+        if alphas is not None:
+            out[k] = alphas[0]
     return out
 
 

@@ -16,6 +16,7 @@ from .model import (
     COMPETITIVE,
     COOPERATIVE,
     CoefficientError,
+    measure_args,
 )
 from .rng import substream
 
@@ -89,12 +90,6 @@ def _sample_context(spec, rng, scale):
     return t, clouds
 
 
-def _args_for(spec, i, clouds):
-    mu = clouds[i]
-    nus = tuple(clouds[j] for j in spec.others(i))
-    return mu, nus
-
-
 def _call(label, i, fn, *args):
     try:
         out = fn(*args)
@@ -103,6 +98,54 @@ def _call(label, i, fn, *args):
             "%s of population %d failed: %s" % (label, i, exc)
         ) from exc
     return np.asarray(out, dtype=float)
+
+
+def _misshapen(spec, i, rng, t0, clouds0):
+    """Evaluate population i's coefficients once at t0 and the given clouds,
+    on three states and feasible actions drawn from rng; returns
+    (name, returned shape, expected shape) for each misshapen output.
+
+    Raises CoefficientError naming the coefficient when one fails.
+    """
+    pop = spec.populations[i]
+    d = pop.state_dim
+    k = pop.action_set.dimension
+    drift, diff, cost = pop.drift, pop.diffusion, pop.cost
+    mu0, nus0 = measure_args(spec, i, clouds0)
+    x0 = rng.standard_normal((3, d))
+    a0 = _feasible(pop, rng, 3)
+    shapes = [
+        ("b0", _call("b0", i, drift.b0, t0, mu0, nus0), (d,)),
+        ("b1", _call("b1", i, drift.b1, t0, mu0, nus0), (d, d)),
+        ("b2", _call("b2", i, drift.b2, t0, mu0, nus0), (d, k)),
+        ("s0", _call("s0", i, diff.s0, t0, mu0, nus0), (d, d)),
+        ("f", _call("f", i, cost.f, t0, x0, mu0, nus0, a0), (3,)),
+        ("df_dx", _call("df_dx", i, cost.df_dx, t0, x0, mu0, nus0, a0), (3, d)),
+        ("df_dalpha", _call("df_dalpha", i, cost.df_dalpha, t0, x0, mu0, nus0, a0), (3, k)),
+        ("g", _call("g", i, cost.g, x0, mu0, nus0), (3,)),
+        ("dg_dx", _call("dg_dx", i, cost.dg_dx, x0, mu0, nus0), (3, d)),
+    ]
+    if diff.s1 is not None:
+        shapes.append(("s1", _call("s1", i, diff.s1, t0, mu0, nus0), (d, d, d)))
+    if drift.b1_bar is not None:
+        shapes.append(("b1_bar", _call("b1_bar", i, drift.b1_bar, t0, nus0), (d, d)))
+    if diff.s1_bar is not None:
+        shapes.append(("s1_bar", _call("s1_bar", i, diff.s1_bar, t0, nus0), (d, d, d)))
+    return [(n, v.shape, s) for n, v, s in shapes if v.shape != s]
+
+
+def check_coefficient_shapes(spec):
+    """Evaluate every population's coefficients at one sampled context and
+    raise CoefficientError naming each misshapen coefficient, its
+    population, and the returned and expected shapes."""
+    rng = substream(0, "shape-check")
+    t, clouds = _sample_context(spec, rng, 1.0)
+    for i in range(spec.n_populations):
+        bad = _misshapen(spec, i, rng, t, clouds)
+        if bad:
+            raise CoefficientError("; ".join(
+                "%s of population %d returned shape %s, expected %s"
+                % (name, i, got, want) for name, got, want in bad))
 
 
 def validate_game(spec, n_samples=100, seed=0):
@@ -130,28 +173,7 @@ def validate_game(spec, n_samples=100, seed=0):
 
         # -- shape and evaluation smoke test, names the coefficient on failure
         try:
-            t0, clouds0 = contexts[1]
-            mu0, nus0 = _args_for(spec, i, clouds0)
-            x0 = rng.standard_normal((3, d))
-            a0 = _feasible(pop, rng, 3)
-            shapes = [
-                ("b0", _call("b0", i, drift.b0, t0, mu0, nus0), (d,)),
-                ("b1", _call("b1", i, drift.b1, t0, mu0, nus0), (d, d)),
-                ("b2", _call("b2", i, drift.b2, t0, mu0, nus0), (d, k)),
-                ("s0", _call("s0", i, diff.s0, t0, mu0, nus0), (d, d)),
-                ("f", _call("f", i, cost.f, t0, x0, mu0, nus0, a0), (3,)),
-                ("df_dx", _call("df_dx", i, cost.df_dx, t0, x0, mu0, nus0, a0), (3, d)),
-                ("df_dalpha", _call("df_dalpha", i, cost.df_dalpha, t0, x0, mu0, nus0, a0), (3, k)),
-                ("g", _call("g", i, cost.g, x0, mu0, nus0), (3,)),
-                ("dg_dx", _call("dg_dx", i, cost.dg_dx, x0, mu0, nus0), (3, d)),
-            ]
-            if diff.s1 is not None:
-                shapes.append(("s1", _call("s1", i, diff.s1, t0, mu0, nus0), (d, d, d)))
-            if drift.b1_bar is not None:
-                shapes.append(("b1_bar", _call("b1_bar", i, drift.b1_bar, t0, nus0), (d, d)))
-            if diff.s1_bar is not None:
-                shapes.append(("s1_bar", _call("s1_bar", i, diff.s1_bar, t0, nus0), (d, d, d)))
-            bad = [n for n, v, s in shapes if v.shape != s]
+            bad = [n for n, _, _ in _misshapen(spec, i, rng, *contexts[1])]
             add("coefficient-evaluation", i, not bad, float(len(bad)), 0.0,
                 "bad output shapes: %s" % ", ".join(bad) if bad else "")
             if bad:
@@ -179,7 +201,7 @@ def validate_game(spec, n_samples=100, seed=0):
         per_group = max(1, n_samples // len(contexts))
         worst_fx = worst_fa = worst_gx = 0.0
         for t, clouds in contexts:
-            mu, nus = _args_for(spec, i, clouds)
+            mu, nus = measure_args(spec, i, clouds)
             x = 2.0 * rng.standard_normal((per_group, d))
             alpha = _feasible(pop, rng, per_group)
             an_x = _call("df_dx", i, cost.df_dx, t, x, mu, nus, alpha)
@@ -215,7 +237,7 @@ def validate_game(spec, n_samples=100, seed=0):
         if cost.df_dmu is not None or cost.dg_dmu is not None:
             worst_mu = 0.0
             for t, clouds in contexts[:3]:
-                mu, nus = _args_for(spec, i, clouds)
+                mu, nus = measure_args(spec, i, clouds)
                 x = rng.standard_normal((1, d))
                 alpha = _feasible(pop, rng, 1)
                 H = rng.standard_normal(mu.points.shape)
@@ -242,7 +264,7 @@ def validate_game(spec, n_samples=100, seed=0):
         min_gap = np.inf
         scale_f = 1.0
         for t, clouds in contexts:
-            mu, nus = _args_for(spec, i, clouds)
+            mu, nus = measure_args(spec, i, clouds)
             n_pairs = 200
             x = 2.0 * rng.standard_normal((n_pairs, d))
             a1 = _feasible(pop, rng, n_pairs)
@@ -268,7 +290,7 @@ def validate_game(spec, n_samples=100, seed=0):
             slope_detail = ""
             worst_ratio = 0.0
             for t, clouds in contexts:
-                mu, nus = _args_for(spec, i, clouds)
+                mu, nus = measure_args(spec, i, clouds)
                 named = [("b1", drift.b1(t, mu, nus)),
                          ("b2", drift.b2(t, mu, nus))]
                 if diff.s1 is not None:
@@ -301,8 +323,8 @@ def validate_game(spec, n_samples=100, seed=0):
                 and m > 1):
             t, clouds = contexts[0]
             _, cloudsb = contexts[3]
-            mu, nus_a = _args_for(spec, i, clouds)
-            _, nus_b = _args_for(spec, i, cloudsb)
+            mu, nus_a = measure_args(spec, i, clouds)
+            _, nus_b = measure_args(spec, i, cloudsb)
             diffv = max(
                 float(np.max(np.abs(drift.b0(t, mu, nus_a) - drift.b0(t, mu, nus_b)))),
                 float(np.max(np.abs(diff.s0(t, mu, nus_a) - diff.s0(t, mu, nus_b)))),
@@ -313,7 +335,7 @@ def validate_game(spec, n_samples=100, seed=0):
                 and spec.structural_flags.mixed_fringe_own_law_free_intercepts):
             t, clouds = contexts[0]
             _, cloudsb = contexts[3]
-            mu_a, nus = _args_for(spec, i, clouds)
+            mu_a, nus = measure_args(spec, i, clouds)
             mu_b = cloudsb[i]
             diffv = max(
                 float(np.max(np.abs(drift.b0(t, mu_a, nus) - drift.b0(t, mu_b, nus)))),
@@ -326,7 +348,7 @@ def validate_game(spec, n_samples=100, seed=0):
         if cost.quadratic_in_alpha:
             worst_q = 0.0
             for t, clouds in contexts[:3]:
-                mu, nus = _args_for(spec, i, clouds)
+                mu, nus = measure_args(spec, i, clouds)
                 x = rng.standard_normal((32, d))
                 alpha = _feasible(pop, rng, 32)
                 lin = (np.zeros((32, k)) if cost.quad_linear is None

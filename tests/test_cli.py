@@ -116,6 +116,70 @@ def test_user_model_file_loaded(tmp_path):
     assert report["spec_name"] == "lq-scalar"
 
 
+_BAD_B0_MODEL = """
+import dataclasses
+
+import numpy as np
+
+from mfglab import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
+                    gaussian_initial_law, population_from_lq)
+
+
+def make_game():
+    eye = np.eye(2)
+    lq = PopulationLq(A=-0.2 * eye, B=eye, sigma=0.5 * eye, R=eye, W=eye,
+                      Wg=0.5 * eye, S=0.3 * eye)
+    pop = population_from_lq(lq, COMPETITIVE,
+                             gaussian_initial_law([1.0, -0.5], 0.5),
+                             None, None)
+    # b0 must return shape (2,); numpy broadcasts (1,) in the drift
+    drift = dataclasses.replace(pop.drift,
+                                b0=lambda t, mu, nus: np.array([0.1]))
+    return GameSpec(populations=(dataclasses.replace(pop, drift=drift),),
+                    horizon=1.0, constants=ModelConstants(1.0, 0.5, 1.0),
+                    name="bad-b0")
+"""
+
+_SMALL_EXPERIMENTS = {
+    "solve": "",
+    "chaos": "  sizes: [8, 16, 32]\n  repetitions: 2\n",
+    "nash": "  sizes: [8, 16, 32]\n  repetitions: 1\n",
+    "truncation-study": "  levels: [1.0]\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_EXPERIMENTS))
+def test_misshapen_coefficient_stops_run_before_output(tmp_path, capsys,
+                                                       command):
+    model = _write(tmp_path / "bad_b0.py", _BAD_B0_MODEL)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n"
+                 "solver:\n  n_steps: 10\n  n_paths: 256\n"
+                 "experiment:\n  kind: %s\n%s"
+                 % (model, out, command, _SMALL_EXPERIMENTS[command]))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "b0 of population 0 returned shape (1,), expected (2,)" in err
+    assert not out.exists()
+
+
+def test_validate_reports_misshapen_coefficient(tmp_path):
+    model = _write(tmp_path / "bad_b0.py", _BAD_B0_MODEL)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "v.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n"
+                 "experiment:\n  kind: validate\n  n_samples: 20\n"
+                 % (model, out))
+    assert main(["validate", "--config", cfg]) == 1
+    report = json.loads((out / "report.json").read_text())
+    check = report["checks"][0]
+    assert check["name"] == "coefficient-evaluation"
+    assert check["passed"] is False
+    assert check["worst"] == 1.0
+    assert check["detail"] == "bad output shapes: b0"
+
+
 def test_chaos_requires_three_distinct_sizes(tmp_path, capsys):
     cfg = _write(tmp_path / "c.yaml", _base_config(
         tmp_path / "out",

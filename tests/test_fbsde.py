@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfglab.fbsde import (
     PicardError,
     SolverConfig,
+    euler_scheme,
     lq_from_game,
     optimal_cost,
     solve_adjoint,
@@ -13,8 +16,9 @@ from mfglab.fbsde import (
     verify_sufficiency,
 )
 from mfglab.fixedpoint import uncontrolled_flows
-from mfglab.measures import TimeGrid
+from mfglab.measures import MeasureFlow, ParticleCloud, TimeGrid
 from mfglab.model import COOPERATIVE, builtin_game, gaussian_initial_law
+from mfglab.model import DiffusionCoefficients, PopulationLq
 from mfglab.model import GameSpec, ModelConstants, StructuralFlags
 from mfglab.model import population_from_lq
 
@@ -154,3 +158,55 @@ def test_sufficiency_requires_matching_seed():
     sol_other = sol_other.__class__(**{**sol_other.__dict__, "seed": 0})
     with pytest.raises(ValueError, match="seed"):
         verify_sufficiency(spec, 0, sol_other, shifted, n_deviations=2)
+
+
+def _diffusive_planner():
+    """2-d cooperative population whose diffusion has state-linear (s1)
+    and own-mean-linear (s1_bar) parts, which no builtin sets."""
+    lq = PopulationLq(
+        A=[[-0.3, 0.2], [0.1, -0.4]], A_bar=[[0.2, -0.1], [0.05, 0.3]],
+        B=[[1.0], [0.5]], sigma=[[0.5, 0.0], [0.2, 0.4]], R=[[1.0]],
+        W=np.eye(2), Wg=np.eye(2), a=[0.1, -0.2],
+    )
+    pop = population_from_lq(lq, COOPERATIVE,
+                             gaussian_initial_law([0.0, 0.0], 1.0), None, None)
+    s1 = 0.1 * np.arange(8.0).reshape(2, 2, 2) - 0.3
+    s1_bar = 0.05 * np.arange(8.0).reshape(2, 2, 2)[::-1] - 0.1
+    diffusion = DiffusionCoefficients(
+        s0=pop.diffusion.s0,
+        s1=lambda t, mu, nus: s1,
+        s1_bar=lambda t, nus: s1_bar,
+    )
+    spec = GameSpec(populations=(dataclasses.replace(pop, diffusion=diffusion),),
+                    horizon=0.5, constants=ModelConstants(1.0, 0.5, 1.0))
+    return spec, lq, s1, s1_bar
+
+
+def test_euler_step_with_state_and_mean_linear_diffusion():
+    spec, lq, s1, s1_bar = _diffusive_planner()
+    grid = TimeGrid(spec.horizon, 1)
+    rng = np.random.default_rng(3)
+    n = 5
+    x = rng.standard_normal((n, 2))
+    alpha = rng.standard_normal((n, 1))
+    dW = rng.standard_normal((1, n, 2)) * np.sqrt(grid.dt)
+    frozen = ParticleCloud(rng.standard_normal((7, 2)) + 1.0)
+    flow = MeasureFlow(grid, [frozen, frozen])
+    for live, m in ((True, x.mean(axis=0)), (False, frozen.mean)):
+        steps = euler_scheme(spec, grid, (0,), [x], [dW],
+                             [lambda k, t, X, mu, nus: alpha], [flow],
+                             live=live)
+        stepped = [states[0] for _, states, _, _ in steps][-1]
+        want = np.empty((n, 2))
+        for p in range(n):
+            for j in range(2):
+                b = lq.a[j] + lq.B[j, 0] * alpha[p, 0]
+                noise = 0.0
+                for l in range(2):
+                    b += lq.A[j, l] * x[p, l] + lq.A_bar[j, l] * m[l]
+                    sig = lq.sigma[j, l]
+                    for q in range(2):
+                        sig += s1[j, l, q] * x[p, q] + s1_bar[j, l, q] * m[q]
+                    noise += sig * dW[0, p, l]
+                want[p, j] = x[p, j] + b * grid.dt + noise
+        np.testing.assert_allclose(stepped, want, rtol=1e-12)
