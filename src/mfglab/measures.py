@@ -183,8 +183,23 @@ def wasserstein1_1d(a, b):
 
 
 # Quantile cut layouts depend only on the two counts, so they are cached
-# and reused across knots and repetitions.
+# and reused across knots and repetitions. A side whose cells take each
+# sample r times in a row, as when one count divides the other, is kept
+# as the run length r and gathered by np.repeat.
 _QUANT_CACHE = {}
+
+
+def _as_runs(idx, n):
+    r = len(idx) // n
+    if r * n == len(idx) and np.array_equal(idx, np.repeat(np.arange(n), r)):
+        return r
+    return idx
+
+
+def _gather(values, idx):
+    if isinstance(idx, int):
+        return values if idx == 1 else np.repeat(values, idx)
+    return values[idx]
 
 
 def _quantile_layout(n, m):
@@ -197,25 +212,38 @@ def _quantile_layout(n, m):
     mids = cuts - lens / 2
     ix = np.minimum((mids * n).astype(int), n - 1)
     iy = np.minimum((mids * m).astype(int), m - 1)
-    _QUANT_CACHE[key] = (lens, ix, iy)
-    return lens, ix, iy
+    _QUANT_CACHE[key] = (lens, _as_runs(ix, n), _as_runs(iy, m))
+    return _QUANT_CACHE[key]
 
 
-def _w2sq_sorted_1d(xs, ys):
-    """Squared W2 of two sorted 1-d samples, exact for any counts."""
+def sorted_slices(cloud, dirs=None):
+    """The sorted 1-d slices that sorted_w2sq compares: the coordinate of
+    a 1-d cloud, or one sorted column per direction (row of dirs)."""
+    if dirs is None:
+        return np.sort(cloud.points[:, 0])
+    return np.sort(cloud.points @ dirs.T, axis=0)
+
+
+def sorted_w2sq(xs, ys):
+    """Squared W2 between sorted slices, exact for any counts: a float
+    for two sorted samples, one value per column for two slice arrays."""
+    if xs.ndim == 2:
+        if len(xs) == len(ys):
+            return np.mean((xs - ys) ** 2, axis=0)
+        return np.array(
+            [sorted_w2sq(xs[:, j], ys[:, j]) for j in range(xs.shape[1])]
+        )
     n, m = len(xs), len(ys)
     if n == m:
         return float(np.mean((xs - ys) ** 2))
     lens, ix, iy = _quantile_layout(n, m)
-    return float(np.sum(lens * (xs[ix] - ys[iy]) ** 2))
+    return float(np.sum(lens * (_gather(xs, ix) - _gather(ys, iy)) ** 2))
 
 
 def wasserstein2_1d_any(a, b):
     """Exact 1-d W2 allowing unequal counts (quantile integration)."""
     _require_dim(a, b, 1)
-    xs = np.sort(a.points[:, 0])
-    ys = np.sort(b.points[:, 0])
-    return float(np.sqrt(_w2sq_sorted_1d(xs, ys)))
+    return float(np.sqrt(sorted_w2sq(sorted_slices(a), sorted_slices(b))))
 
 
 def sliced_w2(a, b, n_projections=64, seed=0, return_slices=False):
@@ -235,16 +263,7 @@ def sliced_w2(a, b, n_projections=64, seed=0, return_slices=False):
     rng = substream(seed, "sliced-w2")
     dirs = rng.standard_normal((int(n_projections), a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    px = a.points @ dirs.T
-    py = b.points @ dirs.T
-    px = np.sort(px, axis=0)
-    py = np.sort(py, axis=0)
-    if a.n == b.n:
-        vals = np.mean((px - py) ** 2, axis=0)
-    else:
-        vals = np.array(
-            [_w2sq_sorted_1d(px[:, j], py[:, j]) for j in range(dirs.shape[0])]
-        )
+    vals = sorted_w2sq(sorted_slices(a, dirs), sorted_slices(b, dirs))
     out = float(np.sqrt(np.mean(vals)))
     if return_slices:
         return out, vals
@@ -266,12 +285,13 @@ def flow_distance(f1, f2, n_projections=64, seed=0):
 def flow_to_csv(flow, path):
     """Write a flow as CSV rows (knot, time, x0..x{d-1}), 17 digits."""
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["knot", "time"] + ["x%d" % j for j in range(flow.dim)])
+        header = ["knot", "time"] + ["x%d" % j for j in range(flow.dim)]
+        fh.write(",".join(header) + "\n")
         for k, cloud in enumerate(flow.clouds):
-            t = "%.17g" % flow.grid.times[k]
-            for row in cloud.points:
-                writer.writerow([k, t] + ["%.17g" % v for v in row])
+            # one string per knot, so no text for the whole flow is built
+            fmt = ("%d,%.17g," % (k, flow.grid.times[k])
+                   + ",".join(["%.17g"] * flow.dim) + "\n")
+            fh.write("".join(fmt % tuple(r) for r in cloud.points.tolist()))
 
 
 def flow_from_csv(path):

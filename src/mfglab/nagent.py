@@ -17,7 +17,8 @@ import numpy as np
 
 from .fbsde import _trapezoid_weights, euler_scheme, solve_adjoint
 from .hamiltonian import minimize_controls
-from .measures import MeasureFlow, ParticleCloud, sliced_w2
+from .measures import (MeasureFlow, ParticleCloud, sliced_w2, sorted_slices,
+                       sorted_w2sq)
 from .model import COMPETITIVE, COOPERATIVE
 from .rng import parallel_map, substream
 
@@ -118,25 +119,20 @@ class _EquilibriumFeedback:
         )
 
 
-def _deviation_fn(dev, spec, i, base_feedback, strategies):
+def _deviation_fn(dev, spec, i, strategies):
+    """Control of a deviating unit as fn(k, t, X, alpha), where alpha is
+    the equilibrium feedback already evaluated at the states X."""
     pop = spec.populations[i]
     if dev.kind == "null":
-        return base_feedback
+        return lambda k, t, X, alpha: alpha
     if dev.kind == "anchor":
         anchor = pop.action_set.anchor_point
-
-        def fn(k, t, X):
-            return np.tile(anchor, (len(X), 1))
-
-        return fn
+        return lambda k, t, X, alpha: np.tile(anchor, (len(X), 1))
     if dev.kind == "shift":
-        c = np.full(pop.action_set.dimension, dev.value)
-
-        def fn(k, t, X):
-            return pop.action_set.project(base_feedback(k, t, X) + c[None, :])
-
-        return fn
-    return strategies[dev.ident]
+        c = np.full(pop.action_set.dimension, dev.value)[None, :]
+        return lambda k, t, X, alpha: pop.action_set.project(alpha + c)
+    strategy = strategies[dev.ident]
+    return lambda k, t, X, alpha: strategy(k, t, X)
 
 
 def prepare_best_response(spec, i, equilibrium, tilt):
@@ -244,7 +240,9 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
                 deviating=None, open_loop_controls=None, permutations=None):
     """Simulate the coupled (or i.i.d.) agent system in tag order.
 
-    deviating: None or dict {pop index: (bool mask over tags, control fn)}.
+    deviating: None or dict {pop index: (bool mask over tags, control fn)};
+    the control fn is called as fn(k, t, X, alpha) with the equilibrium
+    control alpha at X (see _deviation_fn).
     open_loop_controls: dict {pop index: (K, n_dev, k) array} overriding
     the deviating agents' controls with a precommitted process.
     """
@@ -273,7 +271,7 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
             # to the baseline's, so a deviation that maps to the equilibrium
             # feedback costs exactly zero
             alpha[mask] = (fixed[k] if fixed is not None
-                           else dev_fn(k, t, X)[mask])
+                           else dev_fn(k, t, X, alpha)[mask])
             return alpha
 
         return fn
@@ -453,20 +451,30 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     grid = equilibrium.flows[0].grid
     n_knots = len(grid)
 
-    references = []
+    # Each reference knot is checked as a cloud once; the half reference
+    # is its prefix. In d = 1 both are kept sorted and each N-agent prefix
+    # is sorted once for both; in d >= 2 the sorted projections of a
+    # reference would take n_projections / d times its memory, so
+    # sliced_w2 projects both clouds on every call.
+    refs = []
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
         X = _iid_bulk_flow(spec, equilibrium, i, n_ref, rng)
-        references.append(X)
+        if spec.populations[i].state_dim == 1:
+            refs.append([(sorted_slices(ParticleCloud(x)),
+                          np.sort(x[: n_ref // 2, 0])) for x in X])
+        else:
+            refs.append([(ParticleCloud(x), ParticleCloud(x[: n_ref // 2]))
+                         for x in X])
+        del X
 
-    ref_clouds = [
-        [ParticleCloud(references[i][k]) for k in range(n_knots)]
-        for i in range(m)
-    ]
-    half_clouds = [
-        [ParticleCloud(references[i][k][: n_ref // 2]) for k in range(n_knots)]
-        for i in range(m)
-    ]
+    def w2sq_pair(cloud, ref, half):
+        if cloud.dim > 1:
+            return sliced_w2(cloud, ref) ** 2, sliced_w2(cloud, half) ** 2
+        # square the rounded distance, as sliced_w2(...) ** 2 does
+        xs = sorted_slices(cloud)
+        return (float(np.sqrt(sorted_w2sq(xs, ref))) ** 2,
+                float(np.sqrt(sorted_w2sq(xs, half))) ** 2)
 
     def one_rep(rep):
         sys_max = simulate_iid_copies(spec, equilibrium, n_max, seed=seed,
@@ -476,10 +484,9 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
         for i in range(m):
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
-                    pts = sys_max.paths[i][k][:n]
-                    cloud = ParticleCloud(pts)
-                    full[i, a, k] = sliced_w2(cloud, ref_clouds[i][k]) ** 2
-                    half[i, a, k] = sliced_w2(cloud, half_clouds[i][k]) ** 2
+                    cloud = ParticleCloud(sys_max.paths[i][k][:n])
+                    full[i, a, k], half[i, a, k] = w2sq_pair(cloud,
+                                                             *refs[i][k])
         return full, half
 
     results = parallel_map(one_rep, list(range(repetitions)), workers=workers)
@@ -680,7 +687,8 @@ def _validate_mode(spec, mode, population):
     return target, "agent"
 
 
-def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
+def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn,
+                      feedback):
     """Precommitted control paths: evaluate the deviation feedback along
     the deviator's own i.i.d. copy path (same bundle, frozen flows)."""
     grid = equilibrium.flows[0].grid
@@ -690,7 +698,8 @@ def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
     out = np.empty((K, len(tags), pop.action_set.dimension))
     for k, _, _, alphas in euler_scheme(
             spec, grid, (i,), [xi], [dW],
-            [lambda k, t, X, mu, nus: dev_fn(k, t, X)], equilibrium.flows):
+            [lambda k, t, X, mu, nus: dev_fn(k, t, X, feedback(k, t, X))],
+            equilibrium.flows):
         if alphas is not None:
             out[k] = alphas[0]
     return out
@@ -738,13 +747,13 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
         tags = np.where(mask)[0]
         dev_rows = {}
         for dev in devs:
-            dev_fn = _deviation_fn(dev, spec, target, base_feedback,
-                                   strategies)
+            dev_fn = _deviation_fn(dev, spec, target, strategies)
             open_ctrl = None
             if open_loop and dev.kind != "null":
                 open_ctrl = {
                     target: _open_loop_shadow(spec, equilibrium, target, tags,
-                                              seed, rep, dev_fn)
+                                              seed, rep, dev_fn,
+                                              base_feedback)
                 }
             system = simulate_interacting(
                 spec, equilibrium, sizes, seed=seed, rep=rep,

@@ -1,7 +1,10 @@
+import csv
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mfglab.measures import (
@@ -89,6 +92,41 @@ def test_w2_any_agrees_on_equal_counts_and_handles_unequal():
         wasserstein2_1d(a, b), abs=1e-12)
 
 
+def _index_gather_w2(xs, ys):
+    """Quantile-integration W2 of two sorted samples, with every cell
+    gathered through explicit index arrays."""
+    n, m = len(xs), len(ys)
+    if n == m:
+        return float(np.sqrt(np.mean((xs - ys) ** 2)))
+    cuts = np.union1d(np.arange(1, n + 1) / n, np.arange(1, m + 1) / m)
+    lens = np.diff(np.concatenate(([0.0], cuts)))
+    mids = cuts - lens / 2
+    ix = np.minimum((mids * n).astype(int), n - 1)
+    iy = np.minimum((mids * m).astype(int), m - 1)
+    return float(np.sqrt(np.sum(lens * (xs[ix] - ys[iy]) ** 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 300), dividing=st.booleans(),
+       swap=st.booleans(), ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_w2_any_equals_index_gather_for_any_counts(n, m, dividing, swap,
+                                                   ties, seed):
+    if dividing:
+        # make the larger count a multiple of the smaller one
+        n, m = min(n, m), min(n, m) * max(1, max(n, m) // min(n, m))
+    if swap:
+        n, m = m, n
+    rng = np.random.default_rng(seed)
+    xs = 3.0 * rng.standard_normal(n)
+    ys = 1.0 + rng.standard_normal(m)
+    if ties:
+        xs, ys = np.round(xs), np.round(ys)
+    a, b = ParticleCloud(xs), ParticleCloud(ys)
+    got = wasserstein2_1d_any(a, b)
+    assert got == _index_gather_w2(np.sort(xs), np.sort(ys))
+    assert got == pytest.approx(wasserstein2_1d_any(b, a), rel=1e-12)
+
+
 def test_sliced_point_mass_two_dim():
     v = np.array([1.5, -0.7])
     a = ParticleCloud(np.tile(v, (8, 1)))
@@ -161,6 +199,30 @@ def test_flow_csv_round_trip(tmp_path):
     assert back.grid == flow.grid
     for c1, c2 in zip(flow.clouds, back.clouds):
         assert np.array_equal(c1.points, c2.points)
+
+
+def test_flow_csv_bytes_match_csv_writer(tmp_path):
+    values = [-0.0, 5e-324, 1e22, 0.1, -1.5, 2.0 / 3.0]
+    for d in (1, 2):
+        rows = np.array(values * d).reshape(-1, d)
+        grid = TimeGrid(0.3, 2)
+        flow = MeasureFlow(grid, [ParticleCloud(rows * s)
+                                  for s in (1.0, -1.0, 0.5)])
+        path = tmp_path / ("flow%d.csv" % d)
+        flow_to_csv(flow, str(path))
+        ref = tmp_path / ("ref%d.csv" % d)
+        with open(ref, "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["knot", "time"] + ["x%d" % j for j in range(d)])
+            for k, cloud in enumerate(flow.clouds):
+                t = "%.17g" % grid.times[k]
+                for row in cloud.points:
+                    writer.writerow([k, t] + ["%.17g" % v for v in row])
+        assert path.read_bytes() == ref.read_bytes()
+        back = flow_from_csv(str(path))
+        assert back.grid == grid
+        for c1, c2 in zip(flow.clouds, back.clouds):
+            assert c1.points.tobytes() == c2.points.tobytes()
 
 
 def test_flow_npz_round_trip(tmp_path):

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from mfglab import nagent
+from mfglab.fixedpoint import solve_matching
+from mfglab.hamiltonian import minimize_controls
+from mfglab.measures import ParticleCloud, sliced_w2
+from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
+                          builtin_game, gaussian_initial_law,
+                          population_from_lq)
 from mfglab.nagent import (
     Deviation,
     MODE_COMPETITIVE,
@@ -16,9 +23,9 @@ from mfglab.nagent import (
     simulate_iid_copies,
     simulate_interacting,
 )
-from mfglab.model import builtin_game
+from mfglab.rng import substream
 
-from conftest import cached_equilibrium
+from conftest import cached_equilibrium, fp_config
 
 
 def test_chaos_rate_formula():
@@ -200,3 +207,79 @@ def test_workers_do_not_change_nash_results():
     assert a.gains == b.gains
     assert a.gain_ses == b.gain_ses
     assert a.kappa_by_N == b.kappa_by_N
+
+
+def _direct_chaos_curves(spec, eq, N_list, repetitions, seed, factor):
+    """Knot curves and half-reference bias of chaos_rate, recomputed with
+    one sliced_w2 call per (repetition, size, knot, reference)."""
+    n_ref = factor * N_list[-1]
+    m = spec.n_populations
+    n_knots = len(eq.flows[0].grid)
+    full = np.empty((repetitions, m, len(N_list), n_knots))
+    half = np.empty_like(full)
+    for i in range(m):
+        rng = substream(seed, "nagent:reference:pop:%d" % i)
+        X = nagent._iid_bulk_flow(spec, eq, i, n_ref, rng)
+        for rep in range(repetitions):
+            system = simulate_iid_copies(spec, eq, N_list[-1], seed=seed,
+                                         rep=rep)
+            for a, n in enumerate(N_list):
+                for k in range(n_knots):
+                    cloud = ParticleCloud(system.paths[i][k][:n])
+                    full[rep, i, a, k] = sliced_w2(
+                        cloud, ParticleCloud(X[k])) ** 2
+                    half[rep, i, a, k] = sliced_w2(
+                        cloud, ParticleCloud(X[k][: n_ref // 2])) ** 2
+    curves = [full[:, i].mean(axis=0) for i in range(m)]
+    bias = [half[:, i].mean(axis=0)[np.arange(len(N_list)),
+                                    curves[i].argmax(axis=1)]
+            for i in range(m)]
+    return curves, bias
+
+
+def _lq_2d_game():
+    eye = np.eye(2)
+    lq = PopulationLq(A=-0.2 * eye, B=eye, sigma=0.5 * eye, R=eye, W=eye,
+                      Wg=0.5 * eye, S=0.3 * eye)
+    pop = population_from_lq(lq, COMPETITIVE,
+                             gaussian_initial_law([1.0, -0.5], 0.5),
+                             initial_mean=[1.0, -0.5],
+                             initial_cov=0.25 * eye)
+    return GameSpec(populations=(pop,), horizon=1.0,
+                    constants=ModelConstants(1.0, 0.5, 1.0), name="lq-2d")
+
+
+@pytest.mark.parametrize("game", ["lq-bimodal", "lq-2d"])
+def test_chaos_rate_equals_direct_w2(game):
+    # 12 and 40 do not divide the 1024-point reference, 64 does
+    N_list, reps, seed, factor = (12, 40, 64), 3, 2, 16
+    if game == "lq-2d":
+        spec = _lq_2d_game()
+        eq = solve_matching(spec, fp_config(10, 512), seed=0)
+    else:
+        spec = builtin_game(game)
+        eq = cached_equilibrium(game, n_steps=10, n_paths=512)
+    report = chaos_rate(spec, eq, N_list, repetitions=reps, seed=seed,
+                        reference_factor=factor)
+    curves, bias = _direct_chaos_curves(spec, eq, N_list, reps, seed, factor)
+    for i in range(spec.n_populations):
+        assert report.knot_curves[i].tobytes() == curves[i].tobytes()
+        assert report.bias_check[i].tobytes() == bias[i].tobytes()
+
+
+def test_null_deviation_evaluates_feedback_once_per_step(monkeypatch):
+    spec = builtin_game("lq-1pop")
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(len(args[3]))
+        return minimize_controls(*args, **kwargs)
+
+    monkeypatch.setattr(nagent, "minimize_controls", counted)
+    mask = np.zeros(64, dtype=bool)
+    mask[0] = True
+    dev_fn = nagent._deviation_fn(Deviation("null"), spec, 0, {})
+    simulate_interacting(spec, eq, 64, seed=0, deviating={0: (mask, dev_fn)})
+    # one full-batch feedback evaluation per step, shared by the deviator
+    assert rows == [64] * 10
