@@ -58,6 +58,7 @@ from .hamiltonian import (
 from .fbsde import (
     DecouplingField,
     FbsdeSolution,
+    KnotRegression,
     LqSolution,
     LqSpec,
     PicardError,

@@ -52,20 +52,45 @@ class PicardError(RuntimeError):
 def _poly_mask(X):
     """Active coordinates: those with non-degenerate sample spread."""
     scale = np.abs(X).max(initial=0.0)
-    return X.std(axis=0) > 1e-12 * (1.0 + scale)
+    # std over contiguous rows: X.std(axis=0) is several times slower, d >= 2
+    return np.ascontiguousarray(X.T).std(axis=1) > 1e-12 * (1.0 + scale)
 
 
 def _features(X, degree, mask):
-    n = X.shape[0]
-    cols = [np.ones(n)]
-    active = np.where(mask)[0]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(active, deg):
-            col = np.ones(n)
-            for a in combo:
-                col = col * X[:, a]
-            cols.append(col)
-    return np.column_stack(cols)
+    """Monomials up to degree in the active coordinates, constant first;
+    each column is a lower-degree column times one coordinate."""
+    Xt = np.ascontiguousarray(X.T)
+    combos = [()] + [c for deg in range(1, degree + 1) for c in
+                     combinations_with_replacement(np.flatnonzero(mask), deg)]
+    Ft = np.empty((len(combos), X.shape[0]))
+    Ft[0] = 1.0
+    for j, combo in enumerate(combos[1:], 1):
+        np.multiply(Ft[combos.index(combo[:-1])], Xt[combo[-1]], out=Ft[j])
+    return Ft.T
+
+
+class KnotRegression:
+    """Least squares on the polynomial features of one knot's states,
+    factored once by a thin SVD and shared by every target on that basis.
+
+    solve gives np.linalg.lstsq's minimum-norm solution at its default
+    cutoff: singular values at or below eps * max(n, p) * s_max count as
+    zero, so rank-deficient and masked knots fit as lstsq fits them.
+    """
+
+    def __init__(self, X, degree, mask=None):
+        self.mask = _poly_mask(X) if mask is None else mask
+        self.F = _features(X, degree, self.mask)
+        U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
+        cutoff = np.finfo(float).eps * max(self.F.shape) * s[0]
+        r = np.count_nonzero(s > cutoff)  # s descends: the kept ones lead
+        self._Ut = U[:, :r].T
+        self._V_over_s = Vt[:r].T / s[:r]
+
+    def solve(self, targets):
+        """Coefficients (p, m) and fitted values (n, m) of targets (n, m)."""
+        beta = self._V_over_s @ (self._Ut @ targets)
+        return beta, self.F @ beta
 
 
 class DecouplingField:
@@ -84,13 +109,11 @@ class DecouplingField:
         self.coeffs = [None] * len(grid)
         self.masks = [None] * len(grid)
 
-    def fit_knot(self, k, X, targets):
-        mask = _poly_mask(X)
-        F = _features(X, self.degree, mask)
-        beta, _, _, _ = np.linalg.lstsq(F, targets, rcond=None)
-        self.coeffs[k] = beta
-        self.masks[k] = mask
-        return F @ beta
+    def fit_knot(self, k, fit, targets):
+        """Fit knot k on a KnotRegression of its states; the fitted values."""
+        self.coeffs[k], fitted = fit.solve(targets)
+        self.masks[k] = fit.mask
+        return fitted
 
     def eval(self, k, X):
         if self.coeffs[k] is None:
@@ -100,9 +123,8 @@ class DecouplingField:
 
     def linear_slope(self, k, X):
         """Slope of a linear refit of the field on the sample (dy, dx)."""
-        vals = self.eval(k, X)
-        F = _features(X, 1, np.ones(self.dim_x, dtype=bool))
-        beta, _, _, _ = np.linalg.lstsq(F, vals, rcond=None)
+        fit = KnotRegression(X, 1, np.ones(self.dim_x, dtype=bool))
+        beta, _ = fit.solve(self.eval(k, X))
         return beta[1:].T
 
 
@@ -257,8 +279,10 @@ def _terminal_adjoint(spec, i, XK, mu, nus, mkv):
     return Y
 
 
-def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv):
-    """Least-squares Monte Carlo backward pass along given forward paths."""
+def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv, refit=None):
+    """Least-squares Monte Carlo backward pass along given forward paths.
+    One factorization per knot serves the Y fit, the Z fit and, if given,
+    refit(k, fit, Y[k]); knot K is factored only for the refit."""
     pop = spec.populations[i]
     K = grid.n_steps
     n, d = X[0].shape
@@ -267,17 +291,17 @@ def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv):
     Z = np.empty((K, n, d, d))
     nus_K = tuple(flows[j].clouds[K] for j in others)
     Y[K] = _terminal_adjoint(spec, i, X[K], clouds[K], nus_K, mkv)
+    if refit is not None:
+        refit(K, KnotRegression(X[K], degree), Y[K])
     for k in range(K - 1, -1, -1):
         t = grid.times[k]
         mu = clouds[k]
         nus = tuple(flows[j].clouds[k] for j in others)
-        mask = _poly_mask(X[k])
-        F = _features(X[k], degree, mask)
-        beta_y, _, _, _ = np.linalg.lstsq(F, Y[k + 1], rcond=None)
-        yhat = F @ beta_y
+        fit = KnotRegression(X[k], degree)
+        _, yhat = fit.solve(Y[k + 1])
         ztarget = np.einsum("nj,nl->njl", Y[k + 1], dW[k]).reshape(n, d * d)
-        beta_z, _, _, _ = np.linalg.lstsq(F, ztarget / grid.dt, rcond=None)
-        zhat = (F @ beta_z).reshape(n, d, d)
+        _, zhat = fit.solve(ztarget / grid.dt)
+        zhat = zhat.reshape(n, d, d)
         alpha = minimize_controls(spec, i, t, X[k], mu, nus, yhat)
         drv = dx_hamiltonian_batch(spec, i, t, X[k], mu, nus, yhat, zhat, alpha)
         if mkv:
@@ -296,6 +320,8 @@ def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv):
                 )
         Y[k] = yhat + grid.dt * drv
         Z[k] = zhat
+        if refit is not None:
+            refit(k, fit, Y[k])
     return Y, Z
 
 
@@ -326,9 +352,12 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     else:
         prev_eval = init_eval
 
-    def control_from(evaluator):
+    def control_from(evaluator, seen=None):
         def control_fn(k, t, Xk, mu, nus):
-            return minimize_controls(spec, i, t, Xk, mu, nus, evaluator(k, Xk))
+            vals = evaluator(k, Xk)
+            if seen is not None:
+                seen.append(vals)
+            return minimize_controls(spec, i, t, Xk, mu, nus, vals)
 
         return control_fn
 
@@ -336,17 +365,23 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     history = []
     converged = False
     for _ in range(cfg.max_picard):
+        # the refit's old values are the field values behind the controls
+        old_vals = []
         X, _, clouds = _forward(
-            spec, i, grid, xi, dW, flows, control_from(prev_eval), mkv
+            spec, i, grid, xi, dW, flows, control_from(prev_eval, old_vals),
+            mkv,
         )
-        Y, _ = _backward(spec, i, grid, X, dW, flows, clouds, cfg.degree, mkv)
+        old_vals.append(prev_eval(K, X[K]))
         new_field = DecouplingField(grid, d, d, cfg.degree)
-        delta = 0.0
-        for k in range(K + 1):
-            old_vals = prev_eval(k, X[k])
-            target = (1.0 - cfg.damping) * old_vals + cfg.damping * Y[k]
-            fitted = new_field.fit_knot(k, X[k], target)
-            delta = max(delta, _rms_gap(fitted, old_vals))
+        gaps = [0.0]
+
+        def refit(k, fit, Yk):
+            target = (1.0 - cfg.damping) * old_vals[k] + cfg.damping * Yk
+            fitted = new_field.fit_knot(k, fit, target)
+            gaps.append(_rms_gap(fitted, old_vals[k]))
+
+        _backward(spec, i, grid, X, dW, flows, clouds, cfg.degree, mkv, refit)
+        delta = max(gaps)
         history.append(delta)
         field = new_field
         prev_eval = field.eval

@@ -51,10 +51,6 @@ def _batch(x, dim):
     return x, single
 
 
-def _is_diagonal(Q):
-    return np.count_nonzero(Q - np.diag(np.diag(Q))) == 0
-
-
 def minimize_controls(spec, i, t, X, mu, nus, Y, tol=1e-10, max_iter=10000):
     """Batch minimizer of the reduced Hamiltonian over the action set.
 
@@ -76,10 +72,10 @@ def minimize_controls(spec, i, t, X, mu, nus, Y, tol=1e-10, max_iter=10000):
         lin = lin_y
         if cost.quad_linear is not None:
             lin = lin + np.asarray(cost.quad_linear(t, X, mu, nus), dtype=float)
-        unc = -np.linalg.solve(cost.quad_q, lin.T).T
+        unc = -lin @ cost.quad_q_inv.T
         if aset.kind == "full-space":
             return unc
-        if aset.kind == "box" and _is_diagonal(cost.quad_q):
+        if aset.kind == "box" and cost.quad_q_diagonal:
             return aset.project(unc)
 
     lam = spec.constants.convexity_lambda

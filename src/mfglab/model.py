@@ -149,6 +149,9 @@ class CostFunctions:
     quad_q: np.ndarray = None
     quad_linear: object = None
     quad_const: object = None
+    # set from quad_q on every construction, dataclasses.replace included
+    quad_q_inv: np.ndarray = field(default=None, init=False, repr=False)
+    quad_q_diagonal: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.quadratic_in_alpha:
@@ -162,7 +165,12 @@ class CostFunctions:
             if np.linalg.eigvalsh(q).min() <= 0:
                 raise ValueError("quad_q must be positive definite")
             q.setflags(write=False)
+            q_inv = np.linalg.inv(q)
+            q_inv.setflags(write=False)
             object.__setattr__(self, "quad_q", q)
+            object.__setattr__(self, "quad_q_inv", q_inv)
+            object.__setattr__(self, "quad_q_diagonal",
+                               not np.count_nonzero(q - np.diag(np.diag(q))))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab.fbsde import (
+    KnotRegression,
     PicardError,
     SolverConfig,
+    _features,
     euler_scheme,
     lq_from_game,
     optimal_cost,
@@ -210,3 +214,66 @@ def test_euler_step_with_state_and_mean_linear_diffusion():
                     noise += sig * dW[0, p, l]
                 want[p, j] = x[p, j] + b * grid.dt + noise
         np.testing.assert_allclose(stepped, want, rtol=1e-12)
+
+
+def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
+    spec = builtin_game("lq-1pop")
+    cfg = SolverConfig(n_steps=10, n_paths=512)
+    flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
+    calls = {"svd": 0, "lstsq": 0, "solve": 0}
+
+    def counted(name):
+        orig = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    sol = solve_adjoint(spec, 0, flows, cfg, seed=0)
+    sweeps = len(sol.picard_history)
+    assert sweeps >= 2
+    # every Picard sweep factors knots 0..K once (knot K for the refit
+    # only); the final consistent pass factors knots 0..K-1
+    assert calls["svd"] == sweeps * (cfg.n_steps + 1) + cfg.n_steps
+    assert calls["lstsq"] == 0
+    assert calls["solve"] == 0
+
+
+def _knot_sample(rng, case, d, degree, n):
+    if case == "two-valued":
+        # x^2 is a combination of 1 and x, so the degree-2 basis has rank 2
+        a = rng.uniform(-2.0, 2.0)
+        X = np.where(rng.random((n, 1)) < 0.5, a, a + rng.uniform(0.5, 2.0))
+        return X, 2, [True]
+    X = rng.standard_normal((n, d))
+    if case == "masked":
+        X[:, -1] = rng.uniform(-3.0, 3.0)
+        return X, degree, [True] * (d - 1) + [False]
+    return X, degree, [True] * d
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(["full", "masked", "two-valued"]),
+       d=st.integers(1, 2), degree=st.integers(1, 3), n=st.integers(40, 400),
+       m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_knot_regression_matches_lstsq(case, d, degree, n, m, seed):
+    if case == "masked":
+        d = 2
+    rng = np.random.default_rng(seed)
+    X, degree, mask = _knot_sample(rng, case, d, degree, n)
+    targets = rng.standard_normal((n, m)) + X[:, :1] ** 2
+    fit = KnotRegression(X, degree)
+    assert fit.mask.tolist() == mask
+    F = _features(X, degree, fit.mask)
+    beta_ref, _, rank, _ = np.linalg.lstsq(F, targets, rcond=None)
+    assert rank == (2 if case == "two-valued" else F.shape[1])
+    beta, fitted = fit.solve(targets)
+    np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
+                               atol=1e-9 * np.abs(beta_ref).max())
+    fitted_ref = F @ beta_ref
+    np.testing.assert_allclose(fitted, fitted_ref, rtol=1e-9,
+                               atol=1e-9 * np.abs(fitted_ref).max())

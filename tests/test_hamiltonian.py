@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from mfglab.hamiltonian import (
     vi_residual,
 )
 from mfglab.measures import ParticleCloud
-from mfglab.model import builtin_game, measure_args
+from mfglab.model import ActionSet, GameSpec, ModelConstants, PopulationLq
+from mfglab.model import builtin_game, gaussian_initial_law, measure_args
+from mfglab.model import population_from_lq, COMPETITIVE
 from mfglab.rng import substream
 
 
@@ -171,3 +175,68 @@ def test_minimize_error_reports_residual():
     with pytest.raises(MinimizeError) as err:
         minimize(ctx, tol=1e-16, max_iter=2)
     assert err.value.residual > 0.0
+
+
+_Q = np.array([[2.0, 0.7], [0.7, 1.0]])
+
+
+def _two_action_game(Q, action_set=None):
+    """2-d state, 2-d action LQ population with non-diagonal curvature Q."""
+    lq = PopulationLq(A=np.zeros((2, 2)), B=[[1.0, 0.3], [-0.4, 0.8]],
+                      sigma=np.eye(2), R=Q, W=np.eye(2), Wg=np.eye(2))
+    pop = population_from_lq(lq, COMPETITIVE,
+                             gaussian_initial_law([0.0, 0.0], 1.0), None, None,
+                             action_set=action_set)
+    return GameSpec(populations=(pop,), horizon=1.0,
+                    constants=ModelConstants(4.0, 0.5, 1.0))
+
+
+def _batch_args(spec, n=50):
+    rng = substream(9, "test-ham-nondiag")
+    mu = ParticleCloud(rng.standard_normal((32, 2)))
+    X = rng.standard_normal((n, 2))
+    Y = 2.0 * rng.standard_normal((n, 2))
+    b2 = np.asarray(spec.populations[0].drift.b2(0.3, mu, ()))
+    return X, Y, mu, Y @ b2
+
+
+def test_closed_form_minimizer_with_non_diagonal_curvature():
+    spec = _two_action_game(_Q)
+    X, Y, mu, lin = _batch_args(spec)
+    alpha = minimize_controls(spec, 0, 0.3, X, mu, (), Y)
+    np.testing.assert_allclose(alpha, -np.linalg.solve(_Q, lin.T).T,
+                               rtol=1e-12)
+
+    # a replaced cost minimizes with its own curvature, not a stale factor
+    pop = spec.populations[0]
+    cost2 = dataclasses.replace(pop.cost, quad_q=2.0 * _Q)
+    spec2 = dataclasses.replace(
+        spec, populations=(dataclasses.replace(pop, cost=cost2),))
+    alpha2 = minimize_controls(spec2, 0, 0.3, X, mu, (), Y)
+    np.testing.assert_allclose(alpha2, -np.linalg.solve(2.0 * _Q, lin.T).T,
+                               rtol=1e-12)
+
+
+def test_box_with_non_diagonal_curvature_runs_projected_gradient():
+    box = ActionSet(dimension=2, kind="box", lower=[-0.5, -0.5],
+                    upper=[0.5, 0.5])
+    spec = _two_action_game(_Q, action_set=box)
+    pop = spec.populations[0]
+    grads = []
+
+    def df_dalpha(t, x, mu, nus, alpha):
+        grads.append(len(alpha))
+        return pop.cost.df_dalpha(t, x, mu, nus, alpha)
+
+    cost = dataclasses.replace(pop.cost, df_dalpha=df_dalpha)
+    spec = dataclasses.replace(
+        spec, populations=(dataclasses.replace(pop, cost=cost),))
+    X, Y, mu, lin = _batch_args(spec)
+    alpha = minimize_controls(spec, 0, 0.3, X, mu, (), Y)
+    assert grads
+    clipped = box.project(-np.linalg.solve(_Q, lin.T).T)
+    assert np.max(np.abs(alpha - clipped)) > 1e-3
+    for p in range(len(X)):
+        ctx = HamiltonianContext(spec=spec, population=0, t=0.3, x=X[p],
+                                 mu=mu, nus=(), y=Y[p])
+        assert vi_residual(ctx, alpha[p], seed=p) <= 1e-8
