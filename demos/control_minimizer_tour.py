@@ -4,10 +4,10 @@ Pointwise control minimization, with and without constraints
 
 Every solver step reduces to minimizing the control part of the
 Hamiltonian at fixed state, adjoint, and measures. This script shows the
-quadratic closed form, the projected Newton path on a box-constrained
-model, and the certificates that come with a minimizer: variational
-inequality residual, Lipschitz continuity, and growth against the anchor
-action.
+quadratic closed form, the projected gradient path (fixed step
+1/(lambda + L)) on a box-constrained model, and the certificates that
+come with a minimizer: variational inequality residual, Lipschitz
+continuity, and growth against the anchor action.
 """
 
 import numpy as np

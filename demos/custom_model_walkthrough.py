@@ -22,8 +22,8 @@ from mfglab.model import (
     StructuralFlags,
     gaussian_initial_law,
     population_from_lq,
-    validate_game,
 )
+from mfglab.validation import validate_game
 
 # state drift dx = (A x + B a) dt + sigma dW, running cost
 # 0.5 a R a + 0.5 (x - S xbar) W (x - S xbar), terminal likewise with Wg

@@ -29,6 +29,7 @@ Config schema (all blocks optional unless noted):
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -177,34 +178,39 @@ def _load_model(ref):
         )
 
 
-def _solver_from(block):
-    path = "solver"
-    _reject_unknown(block, path, {
-        "n_steps", "n_paths", "degree", "picard_tol", "max_picard", "damping",
-    })
-    return SolverConfig(
-        n_steps=_pick_int(block, path, "n_steps", 50, low=1),
-        n_paths=_pick_int(block, path, "n_paths", 4096, low=2),
-        degree=_pick_int(block, path, "degree", 2, low=1, high=3),
-        picard_tol=_pick_float(block, path, "picard_tol", 1e-3, low_open=0.0),
-        max_picard=_pick_int(block, path, "max_picard", 50, low=1),
-        damping=_pick_float(block, path, "damping", 0.5, low_open=0.0, high=1.0),
-    )
+# How each field of the solver and fixed_point blocks is read and
+# range-checked; the defaults come from SolverConfig and FixedPointConfig.
+_FIELD_CHECKS = {
+    "n_steps": (_pick_int, {"low": 1}),
+    "n_paths": (_pick_int, {"low": 2}),
+    "degree": (_pick_int, {"low": 1, "high": 3}),
+    "picard_tol": (_pick_float, {"low_open": 0.0}),
+    "max_picard": (_pick_int, {"low": 1}),
+    "damping": (_pick_float, {"low_open": 0.0, "high": 1.0}),
+    "fp_tol": (_pick_float, {"low_open": 0.0}),
+    "max_iterations": (_pick_int, {"low": 1}),
+    "theta": (_pick_float, {"low_open": 0.0, "high": 1.0}),
+    "mix": (_pick_choice, {"choices": ("paired", "resample")}),
+    "n_projections": (_pick_int, {"low": 1}),
+}
 
 
-def _fixed_point_from(block, solver):
-    path = "fixed_point"
-    _reject_unknown(block, path, {
-        "fp_tol", "max_iterations", "theta", "mix", "n_projections",
-    })
-    return FixedPointConfig(
-        solver=solver,
-        fp_tol=_pick_float(block, path, "fp_tol", 1e-3, low_open=0.0),
-        max_iterations=_pick_int(block, path, "max_iterations", 50, low=1),
-        theta=_pick_float(block, path, "theta", 0.5, low_open=0.0, high=1.0),
-        mix=_pick_choice(block, path, "mix", "paired", ("paired", "resample")),
-        n_projections=_pick_int(block, path, "n_projections", 64, low=1),
-    )
+def _config_fields(config):
+    """The YAML-facing fields of a config dataclass, in declaration order."""
+    return [f.name for f in dataclasses.fields(config)
+            if f.name in _FIELD_CHECKS]
+
+
+def _config_from(block, path, defaults):
+    """defaults with the fields that the block sets, each range-checked."""
+    names = _config_fields(defaults)
+    _reject_unknown(block, path, names)
+    picked = {}
+    for name in names:
+        pick, bounds = _FIELD_CHECKS[name]
+        picked[name] = pick(block, path, name, getattr(defaults, name),
+                            **bounds)
+    return dataclasses.replace(defaults, **picked)
 
 
 _DEVIATION_KINDS = ("shift", "anchor", "null", "best-response")
@@ -333,20 +339,16 @@ def load_config(path, command, seed_override=None, out_override=None,
     if not out_dir:
         raise ConfigError("output_dir: set it in the config or pass --out")
 
-    solver = _solver_from(_as_map(raw.get("solver"), "solver"))
-    fixed_point = _fixed_point_from(
-        _as_map(raw.get("fixed_point"), "fixed_point"), solver)
+    solver = _config_from(_as_map(raw.get("solver"), "solver"), "solver",
+                          SolverConfig())
+    fixed_point = _config_from(
+        _as_map(raw.get("fixed_point"), "fixed_point"), "fixed_point",
+        FixedPointConfig(solver=solver))
     if fp_tol_override is not None:
         if fp_tol_override <= 0.0:
             raise ConfigError("--fp-tol: must be > 0")
-        fixed_point = FixedPointConfig(
-            solver=solver,
-            fp_tol=float(fp_tol_override),
-            max_iterations=fixed_point.max_iterations,
-            theta=fixed_point.theta,
-            mix=fixed_point.mix,
-            n_projections=fixed_point.n_projections,
-        )
+        fixed_point = dataclasses.replace(fixed_point,
+                                          fp_tol=float(fp_tol_override))
     experiment = _experiment_from(
         _as_map(raw.get("experiment"), "experiment"), command)
     return {
@@ -361,8 +363,6 @@ def load_config(path, command, seed_override=None, out_override=None,
 
 
 def _resolved_dict(plan):
-    solver = plan["solver"]
-    fp = plan["fixed_point"]
     exp = dict(plan["experiment"])
     if exp.get("deviations") is not None:
         exp["deviations"] = [
@@ -372,21 +372,10 @@ def _resolved_dict(plan):
         "model": plan["model_ref"],
         "seed": plan["seed"],
         "output_dir": plan["output_dir"],
-        "solver": {
-            "n_steps": solver.n_steps,
-            "n_paths": solver.n_paths,
-            "degree": solver.degree,
-            "picard_tol": solver.picard_tol,
-            "max_picard": solver.max_picard,
-            "damping": solver.damping,
-        },
-        "fixed_point": {
-            "fp_tol": fp.fp_tol,
-            "max_iterations": fp.max_iterations,
-            "theta": fp.theta,
-            "mix": fp.mix,
-            "n_projections": fp.n_projections,
-        },
+        "solver": {name: getattr(plan["solver"], name)
+                   for name in _config_fields(plan["solver"])},
+        "fixed_point": {name: getattr(plan["fixed_point"], name)
+                        for name in _config_fields(plan["fixed_point"])},
         "experiment": exp,
     }
 

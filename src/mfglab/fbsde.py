@@ -19,7 +19,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .hamiltonian import drift_batch, dx_hamiltonian_batch, minimize_controls
+from .hamiltonian import (_mean_over_copies, dmu_hamiltonian_batch,
+                          drift_batch, dx_hamiltonian_batch, field_feedback,
+                          minimize_controls)
 from .measures import MeasureFlow, ParticleCloud, TimeGrid
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import substream
@@ -167,23 +169,6 @@ def _check_flows(spec, flows, grid):
             raise ValueError("flow %d has wrong state dimension" % j)
 
 
-def _mean_over_copies(call, V, chunk=2048):
-    """Average a copy-indexed measure derivative over the copy batch.
-
-    call(v_chunk) must return (n_copies, nv_chunk, d) or (n_copies, 1, d)
-    when the derivative does not depend on the direction point.
-    """
-    outs = []
-    for s in range(0, len(V), chunk):
-        block = V[s : s + chunk]
-        D = np.asarray(call(block), dtype=float)
-        mean = D.mean(axis=0)
-        if mean.shape[0] == 1 and len(block) > 1:
-            mean = np.broadcast_to(mean, (len(block), mean.shape[1]))
-        outs.append(mean)
-    return np.concatenate(outs, axis=0)
-
-
 def _sigma_dw(pop, t, X, mu, nus, dWk):
     s0 = np.asarray(pop.diffusion.s0(t, mu, nus), dtype=float)
     out = dWk @ s0.T
@@ -251,21 +236,21 @@ def euler_scheme(spec, grid, simulated, xis, dWs, controls, flows=None,
 
 def _forward(spec, i, grid, xi, dW, flows, control_fn, mkv,
              keep_controls=False):
-    """Euler paths of population i under a feedback, with its own measure
-    argument at each knot; the controls (K, n, k) too when kept."""
+    """Euler paths of population i under a feedback, with its measure
+    arguments (mu, nus) at each knot; the controls (K, n, k) too when kept."""
     X = np.empty((grid.n_steps + 1,) + xi.shape)
     controls = None
     if keep_controls:
         controls = np.empty((grid.n_steps, len(xi),
                              spec.populations[i].action_set.dimension))
-    clouds = []
-    for k, states, measures, alphas in euler_scheme(
+    measures = []
+    for k, states, knot_measures, alphas in euler_scheme(
             spec, grid, (i,), [xi], [dW], [control_fn], flows, live=mkv):
         X[k] = states[0]
-        clouds.append(measures[0][0])
+        measures.append(knot_measures[0])
         if keep_controls and alphas is not None:
             controls[k] = alphas[0]
-    return X, controls, clouds
+    return X, controls, measures
 
 
 def _terminal_adjoint(spec, i, XK, mu, nus, mkv):
@@ -279,24 +264,21 @@ def _terminal_adjoint(spec, i, XK, mu, nus, mkv):
     return Y
 
 
-def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv, refit=None):
-    """Least-squares Monte Carlo backward pass along given forward paths.
+def _backward(spec, i, grid, X, dW, measures, degree, mkv, refit=None):
+    """Least-squares Monte Carlo backward pass along given forward paths
+    and their per-knot measure arguments (mu, nus).
     One factorization per knot serves the Y fit, the Z fit and, if given,
     refit(k, fit, Y[k]); knot K is factored only for the refit."""
-    pop = spec.populations[i]
     K = grid.n_steps
     n, d = X[0].shape
-    others = spec.others(i)
     Y = np.empty((K + 1, n, d))
     Z = np.empty((K, n, d, d))
-    nus_K = tuple(flows[j].clouds[K] for j in others)
-    Y[K] = _terminal_adjoint(spec, i, X[K], clouds[K], nus_K, mkv)
+    Y[K] = _terminal_adjoint(spec, i, X[K], *measures[K], mkv)
     if refit is not None:
         refit(K, KnotRegression(X[K], degree), Y[K])
     for k in range(K - 1, -1, -1):
         t = grid.times[k]
-        mu = clouds[k]
-        nus = tuple(flows[j].clouds[k] for j in others)
+        mu, nus = measures[k]
         fit = KnotRegression(X[k], degree)
         _, yhat = fit.solve(Y[k + 1])
         ztarget = np.einsum("nj,nl->njl", Y[k + 1], dW[k]).reshape(n, d * d)
@@ -305,19 +287,9 @@ def _backward(spec, i, grid, X, dW, flows, clouds, degree, mkv, refit=None):
         alpha = minimize_controls(spec, i, t, X[k], mu, nus, yhat)
         drv = dx_hamiltonian_batch(spec, i, t, X[k], mu, nus, yhat, zhat, alpha)
         if mkv:
-            if pop.drift.b1_bar is not None:
-                b1b = np.asarray(pop.drift.b1_bar(t, nus), dtype=float)
-                drv = drv + (b1b.T @ yhat.mean(axis=0))[None, :]
-            if pop.diffusion.s1_bar is not None:
-                s1b = np.asarray(pop.diffusion.s1_bar(t, nus), dtype=float)
-                drv = drv + np.einsum("jlm,jl->m", s1b, zhat.mean(axis=0))[None, :]
-            if pop.cost.df_dmu is not None:
-                copies_x = X[k]
-                copies_a = alpha
-                drv = drv + _mean_over_copies(
-                    lambda V: pop.cost.df_dmu(t, copies_x, mu, nus, copies_a, V),
-                    X[k],
-                )
+            drv = dmu_hamiltonian_batch(spec, i, t, X[k], mu, nus, alpha, X[k],
+                                        yhat.mean(axis=0), zhat.mean(axis=0),
+                                        drv)
         Y[k] = yhat + grid.dt * drv
         Z[k] = zhat
         if refit is not None:
@@ -340,9 +312,7 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
 
     xi, dW = solver_draws(spec, i, n, grid, seed)
 
-    others = spec.others(i)
-    muT = flows[i].clouds[K]
-    nusT = tuple(flows[j].clouds[K] for j in others)
+    muT, nusT = measure_args(spec, i, [flow.clouds[K] for flow in flows])
 
     def init_eval(k, Xk):
         return _terminal_adjoint(spec, i, Xk, muT, nusT, mkv)
@@ -352,25 +322,19 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     else:
         prev_eval = init_eval
 
-    def control_from(evaluator, seen=None):
-        def control_fn(k, t, Xk, mu, nus):
-            vals = evaluator(k, Xk)
-            if seen is not None:
-                seen.append(vals)
-            return minimize_controls(spec, i, t, Xk, mu, nus, vals)
-
-        return control_fn
-
     field = None
     history = []
     converged = False
     for _ in range(cfg.max_picard):
         # the refit's old values are the field values behind the controls
         old_vals = []
-        X, _, clouds = _forward(
-            spec, i, grid, xi, dW, flows, control_from(prev_eval, old_vals),
-            mkv,
-        )
+
+        def evaluate(k, Xk):
+            old_vals.append(prev_eval(k, Xk))
+            return old_vals[-1]
+
+        X, _, measures = _forward(spec, i, grid, xi, dW, flows,
+                                  field_feedback(spec, i, evaluate), mkv)
         old_vals.append(prev_eval(K, X[K]))
         new_field = DecouplingField(grid, d, d, cfg.degree)
         gaps = [0.0]
@@ -380,9 +344,15 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
             fitted = new_field.fit_knot(k, fit, target)
             gaps.append(_rms_gap(fitted, old_vals[k]))
 
-        _backward(spec, i, grid, X, dW, flows, clouds, cfg.degree, mkv, refit)
-        delta = max(gaps)
+        _backward(spec, i, grid, X, dW, measures, cfg.degree, mkv, refit)
+        delta = float(np.max(gaps))  # a NaN gap makes the delta NaN
         history.append(delta)
+        if not np.isfinite(delta):
+            raise PicardError(
+                "Picard sweep %d gave a non-finite field change %g"
+                % (len(history), delta),
+                history,
+            )
         field = new_field
         prev_eval = field.eval
         if delta <= cfg.picard_tol:
@@ -397,11 +367,11 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
 
     # one consistent pass with the converged field, so the stored paths,
     # controls, and adjoint values belong together
-    X, controls, clouds = _forward(
-        spec, i, grid, xi, dW, flows, control_from(field.eval), mkv,
+    X, controls, measures = _forward(
+        spec, i, grid, xi, dW, flows, field_feedback(spec, i, field.eval), mkv,
         keep_controls=True,
     )
-    Y, Z = _backward(spec, i, grid, X, dW, flows, clouds, cfg.degree, mkv)
+    Y, Z = _backward(spec, i, grid, X, dW, measures, cfg.degree, mkv)
     return FbsdeSolution(
         population=i,
         grid=grid,
@@ -454,39 +424,45 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
 # Costs and sufficiency
 
 
-def _path_costs(spec, i, grid, X, controls, clouds, flows):
-    """Per-path trapezoidal running cost plus terminal cost.
+def _path_costs(spec, i, grid, X, controls, measures):
+    """Per-path trapezoidal running cost plus terminal cost of paths X
+    (K + 1, n, d) under controls (K, n, k) and per-knot measure arguments.
 
     The running integrand at the terminal knot reuses the last control
     (controls are defined on the left knots of the grid).
     """
     pop = spec.populations[i]
-    others = spec.others(i)
     K = grid.n_steps
     w = _trapezoid_weights(grid)
     total = np.zeros(X.shape[1])
     for k in range(K + 1):
-        t = grid.times[k]
-        nus = tuple(flows[j].clouds[k] for j in others)
+        mu, nus = measures[k]
         alpha = controls[min(k, K - 1)]
         total += w[k] * np.asarray(
-            pop.cost.f(t, X[k], clouds[k], nus, alpha), dtype=float
+            pop.cost.f(grid.times[k], X[k], mu, nus, alpha), dtype=float
         )
-    nus_K = tuple(flows[j].clouds[K] for j in others)
-    total += np.asarray(pop.cost.g(X[K], clouds[K], nus_K), dtype=float)
+    total += np.asarray(pop.cost.g(X[K], *measures[K]), dtype=float)
     return total
+
+
+def _solution_measures(spec, i, X, flows):
+    """Per-knot measure arguments of population i along its solved paths
+    X: the frozen flows, with a cooperative population's own slot read
+    from the clouds of X."""
+    mkv = spec.populations[i].cooperation == COOPERATIVE
+    out = []
+    for k, Xk in enumerate(X):
+        clouds = [flow.clouds[k] for flow in flows]
+        if mkv:
+            clouds[i] = ParticleCloud(Xk)
+        out.append(measure_args(spec, i, clouds))
+    return out
 
 
 def optimal_cost(spec, i, solution, flows):
     """Monte Carlo cost of a solved population: (estimate, standard error)."""
-    mkv = spec.populations[i].cooperation == COOPERATIVE
-    grid = solution.grid
-    if mkv:
-        clouds = [ParticleCloud(solution.X[k]) for k in range(len(grid))]
-    else:
-        clouds = list(flows[i].clouds)
-    costs = _path_costs(spec, i, grid, solution.X, solution.controls, clouds,
-                        flows)
+    costs = _path_costs(spec, i, solution.grid, solution.X, solution.controls,
+                        _solution_measures(spec, i, solution.X, flows))
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
 
 
@@ -530,30 +506,25 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
     if not np.array_equal(xi, solution.X[0]):
         raise ValueError("solution was not produced from this seed")
 
-    if mkv:
-        base_clouds = [ParticleCloud(solution.X[k]) for k in range(K + 1)]
-    else:
-        base_clouds = list(flows[i].clouds)
     base_costs = _path_costs(spec, i, grid, solution.X, solution.controls,
-                             base_clouds, flows)
+                             _solution_measures(spec, i, solution.X, flows))
 
     rng = substream(seed, "sufficiency:%d" % i)
     shifts = rng.uniform(-shift_scale, shift_scale, (n_deviations, k_dim))
     w = _trapezoid_weights(grid)
     margins = np.empty(n_deviations)
     ses = np.empty(n_deviations)
+    base = field_feedback(spec, i, solution.field.eval)
     for j in range(n_deviations):
         c = shifts[j]
 
         def control_fn(k, t, Xk, mu, nus):
-            base = minimize_controls(spec, i, t, Xk, mu, nus,
-                                     solution.field.eval(k, Xk))
-            return pop.action_set.project(base + c[None, :])
+            return pop.action_set.project(base(k, t, Xk, mu, nus) + c[None, :])
 
-        Xd, controls_d, clouds_d = _forward(spec, i, grid, xi, dW, flows,
-                                            control_fn, mkv,
-                                            keep_controls=True)
-        dev_costs = _path_costs(spec, i, grid, Xd, controls_d, clouds_d, flows)
+        Xd, controls_d, measures_d = _forward(spec, i, grid, xi, dW, flows,
+                                              control_fn, mkv,
+                                              keep_controls=True)
+        dev_costs = _path_costs(spec, i, grid, Xd, controls_d, measures_d)
         gap2 = np.zeros(cfg_like_n)
         for k in range(K):
             diff = controls_d[k] - solution.controls[k]

@@ -41,13 +41,17 @@ class HamiltonianContext:
     z: np.ndarray = None
 
 
-def _batch(x, dim):
+def _batch(x, dim, n=None):
+    """x as rows (m, dim), broadcast to n rows if given; whether x was one
+    point."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.shape[1] != dim:
         raise ValueError("expected trailing dimension %d" % dim)
+    if n is not None:
+        x = np.broadcast_to(x, (n, dim))
     return x, single
 
 
@@ -98,16 +102,39 @@ def minimize_controls(spec, i, t, X, mu, nus, Y, tol=1e-10, max_iter=10000):
     )
 
 
+def field_feedback(spec, i, evaluate):
+    """Feedback control of population i under an adjoint field, as a
+    control(k, t, X, mu, nus) of fbsde.euler_scheme: the minimizer of the
+    reduced Hamiltonian at the adjoint values evaluate(k, X)."""
+
+    def control(k, t, X, mu, nus):
+        return minimize_controls(spec, i, t, X, mu, nus, evaluate(k, X))
+
+    return control
+
+
+def _point(ctx, alpha=None):
+    """A context as batch arguments: ((spec, i, t, X, mu, nus), Y, Z, A,
+    single), with y, z and alpha broadcast to the rows of X; single tells
+    whether x was one point."""
+    pop = ctx.spec.populations[ctx.population]
+    d = pop.state_dim
+    X, single = _batch(ctx.x, d)
+    Y, _ = _batch(ctx.y, d, len(X))
+    Z = A = None
+    if ctx.z is not None:
+        Z = np.broadcast_to(np.asarray(ctx.z, dtype=float), (len(X), d, d))
+    if alpha is not None:
+        A, _ = _batch(alpha, pop.action_set.dimension, len(X))
+    args = (ctx.spec, ctx.population, ctx.t, X, ctx.mu, ctx.nus)
+    return args, Y, Z, A, single
+
+
 def minimize(ctx, tol=1e-10, max_iter=10000):
     """Minimize the reduced Hamiltonian at a context point."""
-    pop = ctx.spec.populations[ctx.population]
-    X, single_x = _batch(ctx.x, pop.state_dim)
-    Y, _ = _batch(ctx.y, pop.state_dim)
-    if Y.shape[0] != X.shape[0]:
-        Y = np.broadcast_to(Y, X.shape)
-    out = minimize_controls(ctx.spec, ctx.population, ctx.t, X, ctx.mu,
-                            ctx.nus, Y, tol=tol, max_iter=max_iter)
-    return out[0] if single_x else out
+    args, Y, _, _, single = _point(ctx)
+    out = minimize_controls(*args, Y, tol=tol, max_iter=max_iter)
+    return out[0] if single else out
 
 
 def drift_batch(spec, i, t, X, mu, nus, alpha):
@@ -125,41 +152,30 @@ def drift_batch(spec, i, t, X, mu, nus, alpha):
 
 def reduced_hamiltonian(ctx, alpha):
     """<b, y> + f at the context point (scalar, or (n,) for batches)."""
-    pop = ctx.spec.populations[ctx.population]
-    X, single = _batch(ctx.x, pop.state_dim)
-    A, _ = _batch(alpha, pop.action_set.dimension)
-    Y, _ = _batch(ctx.y, pop.state_dim)
-    if A.shape[0] != X.shape[0]:
-        A = np.broadcast_to(A, (X.shape[0], A.shape[1]))
-    if Y.shape[0] != X.shape[0]:
-        Y = np.broadcast_to(Y, X.shape)
-    b = drift_batch(ctx.spec, ctx.population, ctx.t, X, ctx.mu, ctx.nus, A)
-    val = np.sum(b * Y, axis=1) + np.asarray(
-        pop.cost.f(ctx.t, X, ctx.mu, ctx.nus, A), dtype=float)
+    args, Y, _, A, single = _point(ctx, alpha)
+    spec, i, t, X, mu, nus = args
+    val = np.sum(drift_batch(*args, A) * Y, axis=1) + np.asarray(
+        spec.populations[i].cost.f(t, X, mu, nus, A), dtype=float)
     return float(val[0]) if single else val
 
 
 def hamiltonian_value(ctx, alpha):
     """Full Hamiltonian, adding tr(sigma' z) to the reduced one."""
-    pop = ctx.spec.populations[ctx.population]
     base = reduced_hamiltonian(ctx, alpha)
     if ctx.z is None:
         return base
-    X, single = _batch(ctx.x, pop.state_dim)
-    Z = np.asarray(ctx.z, dtype=float)
-    if Z.ndim == 2:
-        Z = Z[None, :, :]
-    sig = np.asarray(pop.diffusion.s0(ctx.t, ctx.mu, ctx.nus), dtype=float)
+    (spec, i, t, X, mu, nus), _, Z, _, single = _point(ctx)
+    pop = spec.populations[i]
+    sig = np.asarray(pop.diffusion.s0(t, mu, nus), dtype=float)
     sig = np.broadcast_to(sig, (X.shape[0],) + sig.shape).copy()
     if pop.diffusion.s1 is not None:
-        s1 = np.asarray(pop.diffusion.s1(ctx.t, ctx.mu, ctx.nus), dtype=float)
+        s1 = np.asarray(pop.diffusion.s1(t, mu, nus), dtype=float)
         sig += np.einsum("jlm,nm->njl", s1, X)
     if pop.diffusion.s1_bar is not None:
-        s1b = np.asarray(pop.diffusion.s1_bar(ctx.t, ctx.nus), dtype=float)
-        sig += np.einsum("jlm,m->jl", s1b, ctx.mu.mean)[None, :, :]
-    trace = np.einsum("njl,njl->n", sig, np.broadcast_to(Z, sig.shape))
-    out = base + (float(trace[0]) if single else trace)
-    return out
+        s1b = np.asarray(pop.diffusion.s1_bar(t, nus), dtype=float)
+        sig += np.einsum("jlm,m->jl", s1b, mu.mean)[None, :, :]
+    trace = np.einsum("njl,njl->n", sig, Z)
+    return base + (float(trace[0]) if single else trace)
 
 
 def dx_hamiltonian_batch(spec, i, t, X, mu, nus, Y, Z, alpha):
@@ -175,22 +191,48 @@ def dx_hamiltonian_batch(spec, i, t, X, mu, nus, Y, Z, alpha):
 
 
 def dx_hamiltonian(ctx, alpha):
-    pop = ctx.spec.populations[ctx.population]
-    X, single = _batch(ctx.x, pop.state_dim)
-    Y, _ = _batch(ctx.y, pop.state_dim)
-    if Y.shape[0] != X.shape[0]:
-        Y = np.broadcast_to(Y, X.shape)
-    A, _ = _batch(alpha, pop.action_set.dimension)
-    if A.shape[0] != X.shape[0]:
-        A = np.broadcast_to(A, (X.shape[0], A.shape[1]))
-    Z = ctx.z
-    if Z is not None:
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim == 2:
-            Z = np.broadcast_to(Z[None, :, :], (X.shape[0],) + Z.shape)
-    out = dx_hamiltonian_batch(ctx.spec, ctx.population, ctx.t, X, ctx.mu,
-                               ctx.nus, Y, Z, A)
+    args, Y, Z, A, single = _point(ctx, alpha)
+    out = dx_hamiltonian_batch(*args, Y, Z, A)
     return out[0] if single else out
+
+
+def _mean_over_copies(call, V, chunk=2048):
+    """Average a copy-indexed measure derivative over the copy batch.
+
+    call(v_chunk) must return (n_copies, nv_chunk, d) or (n_copies, 1, d)
+    when the derivative does not depend on the direction point.
+    """
+    outs = []
+    for s in range(0, len(V), chunk):
+        block = V[s : s + chunk]
+        D = np.asarray(call(block), dtype=float)
+        mean = D.mean(axis=0)
+        if mean.shape[0] == 1 and len(block) > 1:
+            mean = np.broadcast_to(mean, (len(block), mean.shape[1]))
+        outs.append(mean)
+    return np.concatenate(outs, axis=0)
+
+
+def dmu_hamiltonian_batch(spec, i, t, X, mu, nus, alpha, V, mean_y, mean_z,
+                          out):
+    """out (nv, d) plus the measure gradient of the Hamiltonian at the
+    direction points V (nv, d), for a cooperative population.
+
+    X and alpha are the copy batch; mean_y and mean_z (or None) are the
+    copy means of the adjoint that multiply the own-mean drift and
+    diffusion coefficients, and df_dmu is averaged over the copies.
+    """
+    pop = spec.populations[i]
+    if pop.drift.b1_bar is not None:
+        b1b = np.asarray(pop.drift.b1_bar(t, nus), dtype=float)
+        out = out + (b1b.T @ mean_y)[None, :]
+    if pop.diffusion.s1_bar is not None and mean_z is not None:
+        s1b = np.asarray(pop.diffusion.s1_bar(t, nus), dtype=float)
+        out = out + np.einsum("jlm,jl->m", s1b, mean_z)[None, :]
+    if pop.cost.df_dmu is not None:
+        out = out + _mean_over_copies(
+            lambda v: pop.cost.df_dmu(t, X, mu, nus, alpha, v), V)
+    return out
 
 
 def dmu_hamiltonian(ctx, alpha, v, mean_y, mean_z=None):
@@ -207,24 +249,10 @@ def dmu_hamiltonian(ctx, alpha, v, mean_y, mean_z=None):
             "dmu_hamiltonian is only defined for cooperative populations"
         )
     d = pop.state_dim
-    v = np.asarray(v, dtype=float).reshape(d)
-    out = np.zeros(d)
-    if pop.drift.b1_bar is not None:
-        b1b = np.asarray(pop.drift.b1_bar(ctx.t, ctx.nus), dtype=float)
-        out += b1b.T @ np.asarray(mean_y, dtype=float)
-    if pop.diffusion.s1_bar is not None and mean_z is not None:
-        s1b = np.asarray(pop.diffusion.s1_bar(ctx.t, ctx.nus), dtype=float)
-        out += np.einsum("jlm,jl->m", s1b, np.asarray(mean_z, dtype=float))
-    X, _ = _batch(ctx.x, d)
-    A, _ = _batch(alpha, pop.action_set.dimension)
-    if A.shape[0] != X.shape[0]:
-        A = np.broadcast_to(A, (X.shape[0], A.shape[1]))
-    D = np.asarray(
-        pop.cost.df_dmu(ctx.t, X, ctx.mu, ctx.nus, A, v[None, :]),
-        dtype=float,
-    )
-    out += np.mean(np.broadcast_to(D, (X.shape[0], 1, d))[:, 0, :], axis=0)
-    return out
+    args, _, _, A, _ = _point(ctx, alpha)
+    return dmu_hamiltonian_batch(
+        *args, A, np.asarray(v, dtype=float).reshape(1, d),
+        np.asarray(mean_y, dtype=float), mean_z, np.zeros((1, d)))[0]
 
 
 def vi_residual(ctx, alpha_hat, n_directions=32, seed=0):
@@ -233,21 +261,18 @@ def vi_residual(ctx, alpha_hat, n_directions=32, seed=0):
     Samples the anchor plus n_directions random feasible actions beta and
     returns max(0, max_beta <alpha_hat - beta, grad H_r(alpha_hat)>).
     """
-    pop = ctx.spec.populations[ctx.population]
-    aset = pop.action_set
-    k = aset.dimension
-    X, single = _batch(ctx.x, pop.state_dim)
+    (spec, i, t, X, mu, nus), Y, _, A, single = _point(ctx, alpha_hat)
     if not single:
         raise ValueError("vi_residual expects a single-point context")
-    Y, _ = _batch(ctx.y, pop.state_dim)
-    A = np.asarray(alpha_hat, dtype=float).reshape(1, k)
-    b2 = np.asarray(pop.drift.b2(ctx.t, ctx.mu, ctx.nus), dtype=float)
-    grad = (Y @ b2 + np.asarray(
-        pop.cost.df_dalpha(ctx.t, X, ctx.mu, ctx.nus, A), dtype=float))[0]
+    pop = spec.populations[i]
+    aset = pop.action_set
+    b2 = np.asarray(pop.drift.b2(t, mu, nus), dtype=float)
+    grad = (Y @ b2 + np.asarray(pop.cost.df_dalpha(t, X, mu, nus, A),
+                                dtype=float))[0]
     rng = substream(seed, "vi-residual")
     betas = [aset.anchor_point]
     for scale in (0.5, 2.0):
-        raw = scale * rng.standard_normal((n_directions // 2, k))
+        raw = scale * rng.standard_normal((n_directions // 2, aset.dimension))
         betas.append(aset.project(A + raw))
     betas = np.vstack(betas)
     vals = (A - betas) @ grad

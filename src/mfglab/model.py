@@ -694,6 +694,3 @@ def builtin_game(name):
     if name not in _BUILTIN_CACHE:
         _BUILTIN_CACHE[name] = _BUILTIN_BUILDERS[name]()
     return _BUILTIN_CACHE[name]
-
-
-from .validation import CheckResult, ValidationReport, validate_game  # noqa: E402,F401

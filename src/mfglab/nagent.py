@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbsde import _trapezoid_weights, euler_scheme, solve_adjoint
-from .hamiltonian import minimize_controls
+from .fbsde import _path_costs, euler_scheme, solve_adjoint
+from .hamiltonian import field_feedback
 from .measures import (MeasureFlow, ParticleCloud, sliced_w2, sorted_slices,
                        sorted_w2sq)
-from .model import COMPETITIVE, COOPERATIVE
+from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import parallel_map, substream
 
 MODE_COMPETITIVE = "competitive-agent"
@@ -100,44 +100,27 @@ def _draw_bundles(spec, i, n_steps, tags, seed, rep, dt):
     return xi, dW * np.sqrt(dt)
 
 
-class _EquilibriumFeedback:
-    """Mean-field feedback: frozen flows in the measure slots, the solved
-    decoupling field in the adjoint slot."""
-
-    def __init__(self, spec, i, flows, field):
-        self.spec = spec
-        self.i = i
-        self.flows = flows
-        self.field = field
-        self.others = spec.others(i)
-
-    def __call__(self, k, t, X):
-        mu = self.flows[self.i].clouds[k]
-        nus = tuple(self.flows[j].clouds[k] for j in self.others)
-        return minimize_controls(
-            self.spec, self.i, t, X, mu, nus, self.field.eval(k, X)
-        )
-
-
 def _deviation_fn(dev, spec, i, strategies):
-    """Control of a deviating unit as fn(k, t, X, alpha), where alpha is
-    the equilibrium feedback already evaluated at the states X."""
+    """Control of a deviating unit as fn(k, t, X, mu, nus, alpha), with the
+    frozen measure arguments and alpha the equilibrium feedback already
+    evaluated at the states X."""
     pop = spec.populations[i]
     if dev.kind == "null":
-        return lambda k, t, X, alpha: alpha
+        return lambda k, t, X, mu, nus, alpha: alpha
     if dev.kind == "anchor":
         anchor = pop.action_set.anchor_point
-        return lambda k, t, X, alpha: np.tile(anchor, (len(X), 1))
+        return lambda k, t, X, mu, nus, alpha: np.tile(anchor, (len(X), 1))
     if dev.kind == "shift":
         c = np.full(pop.action_set.dimension, dev.value)[None, :]
-        return lambda k, t, X, alpha: pop.action_set.project(alpha + c)
+        return lambda k, t, X, mu, nus, alpha: pop.action_set.project(alpha + c)
     strategy = strategies[dev.ident]
-    return lambda k, t, X, alpha: strategy(k, t, X)
+    return lambda k, t, X, mu, nus, alpha: strategy(k, t, X, mu, nus)
 
 
 def prepare_best_response(spec, i, equilibrium, tilt):
     """Re-solve the adjoint against frozen flows with a tilted control
-    cost, returning the resulting feedback.
+    cost, returning the resulting feedback control(k, t, X, mu, nus), to
+    be called with the frozen flows' measure arguments.
 
     The tilt adds tilt * sum(alpha) to the running cost, so the solved
     feedback is the best response of an agent whose control price is
@@ -181,7 +164,7 @@ def prepare_best_response(spec, i, equilibrium, tilt):
         equilibrium.seed,
         initial_field=equilibrium.solutions[i].field,
     )
-    return _EquilibriumFeedback(tilted, i, equilibrium.flows, sol.field)
+    return field_feedback(tilted, i, sol.field.eval)
 
 
 @dataclass
@@ -241,8 +224,8 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
     """Simulate the coupled (or i.i.d.) agent system in tag order.
 
     deviating: None or dict {pop index: (bool mask over tags, control fn)};
-    the control fn is called as fn(k, t, X, alpha) with the equilibrium
-    control alpha at X (see _deviation_fn).
+    the control fn is called as fn(k, t, X, mu, nus, alpha) with the
+    equilibrium control alpha at X (see _deviation_fn).
     open_loop_controls: dict {pop index: (K, n_dev, k) array} overriding
     the deviating agents' controls with a precommitted process.
     """
@@ -251,27 +234,25 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
     K = grid.n_steps
     flows = equilibrium.flows
     perms = _check_permutations(sizes, permutations)
-    feedbacks = [
-        _EquilibriumFeedback(spec, i, flows, equilibrium.solutions[i].field)
-        for i in range(m)
-    ]
     deviating = deviating or {}
     open_loop_controls = open_loop_controls or {}
 
     def control(i):
-        feedback = feedbacks[i]
-        if i not in deviating:
-            return lambda k, t, X, mu, nus: feedback(k, t, X)
-        mask, dev_fn = deviating[i]
+        feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
+        mask, dev_fn = deviating.get(i, (None, None))
         fixed = open_loop_controls.get(i)
 
         def fn(k, t, X, mu, nus):
-            alpha = feedback(k, t, X)
-            # full-batch evaluation keeps the floating-point path identical
-            # to the baseline's, so a deviation that maps to the equilibrium
-            # feedback costs exactly zero
-            alpha[mask] = (fixed[k] if fixed is not None
-                           else dev_fn(k, t, X, alpha)[mask])
+            # controls read the frozen flows, also where the coefficients
+            # read the live clouds
+            mu, nus = measure_args(spec, i, [flow.clouds[k] for flow in flows])
+            alpha = feedback(k, t, X, mu, nus)
+            if mask is not None:
+                # full-batch evaluation keeps the floating-point path
+                # identical to the baseline's, so a deviation that maps to
+                # the equilibrium feedback costs exactly zero
+                alpha[mask] = (fixed[k] if fixed is not None
+                               else dev_fn(k, t, X, mu, nus, alpha)[mask])
             return alpha
 
         return fn
@@ -280,31 +261,27 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         _draw_bundles(spec, i, K, range(sizes[i]), seed, rep, grid.dt)
         for i in range(m)
     ))
-    w = _trapezoid_weights(grid)
     paths = [np.empty((K + 1, sizes[i], spec.populations[i].state_dim))
              for i in range(m)]
     controls = [
         np.empty((K, sizes[i], spec.populations[i].action_set.dimension))
         for i in range(m)
     ]
-    costs = [np.zeros(sizes[i]) for i in range(m)]
+    measures = []
     steps = euler_scheme(spec, grid, range(m), xis, dWs,
                          [control(i) for i in range(m)], flows,
                          live=interacting)
-    for k, states, measures, alphas in steps:
-        t = grid.times[k]
-        for i, (mu, nus) in enumerate(measures):
-            pop = spec.populations[i]
+    for k, states, knot_measures, alphas in steps:
+        measures.append(knot_measures)
+        for i in range(m):
             paths[i][k] = states[i]
             if alphas is not None:
                 controls[i][k] = alphas[i]
-            costs[i] += w[k] * np.asarray(
-                pop.cost.f(t, states[i], mu, nus, controls[i][min(k, K - 1)]),
-                dtype=float,
-            )
-            if k == K:
-                costs[i] += np.asarray(pop.cost.g(states[i], mu, nus),
-                                       dtype=float)
+    costs = [
+        _path_costs(spec, i, grid, paths[i], controls[i],
+                    [knot[i] for knot in measures])
+        for i in range(m)
+    ]
 
     modes = []
     for i in range(m):
@@ -414,15 +391,13 @@ def _iid_bulk_flow(spec, equilibrium, i, n, rng):
     grid = equilibrium.flows[0].grid
     K = grid.n_steps
     d = pop.state_dim
-    flows = equilibrium.flows
-    feedback = _EquilibriumFeedback(spec, i, flows,
-                                    equilibrium.solutions[i].field)
     xi = np.asarray(pop.initial_law(rng, n), dtype=float).reshape(n, d)
     dW = rng.standard_normal((K, n, d)) * np.sqrt(grid.dt)
     X = np.empty((K + 1, n, d))
     for k, states, _, _ in euler_scheme(
             spec, grid, (i,), [xi], [dW],
-            [lambda k, t, X, mu, nus: feedback(k, t, X)], flows):
+            [field_feedback(spec, i, equilibrium.solutions[i].field.eval)],
+            equilibrium.flows):
         X[k] = states[0]
     return X
 
@@ -687,18 +662,19 @@ def _validate_mode(spec, mode, population):
     return target, "agent"
 
 
-def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn,
-                      feedback):
+def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
     """Precommitted control paths: evaluate the deviation feedback along
     the deviator's own i.i.d. copy path (same bundle, frozen flows)."""
     grid = equilibrium.flows[0].grid
     K = grid.n_steps
     pop = spec.populations[i]
     xi, dW = _draw_bundles(spec, i, K, tags, seed, rep, grid.dt)
+    feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
     out = np.empty((K, len(tags), pop.action_set.dimension))
     for k, _, _, alphas in euler_scheme(
             spec, grid, (i,), [xi], [dW],
-            [lambda k, t, X, mu, nus: dev_fn(k, t, X, feedback(k, t, X))],
+            [lambda k, t, X, mu, nus: dev_fn(k, t, X, mu, nus,
+                                            feedback(k, t, X, mu, nus))],
             equilibrium.flows):
         if alphas is not None:
             out[k] = alphas[0]
@@ -730,10 +706,6 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
                 spec, target, equilibrium, dev.value
             )
 
-    base_feedback = _EquilibriumFeedback(
-        spec, target, equilibrium.flows, equilibrium.solutions[target].field
-    )
-
     def one_task(task):
         n, rep = task
         sizes = _normalize_sizes(spec, n)
@@ -752,8 +724,7 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
             if open_loop and dev.kind != "null":
                 open_ctrl = {
                     target: _open_loop_shadow(spec, equilibrium, target, tags,
-                                              seed, rep, dev_fn,
-                                              base_feedback)
+                                              seed, rep, dev_fn)
                 }
             system = simulate_interacting(
                 spec, equilibrium, sizes, seed=seed, rep=rep,

@@ -9,7 +9,9 @@ from mfglab.fbsde import (
     KnotRegression,
     PicardError,
     SolverConfig,
+    _backward,
     _features,
+    _forward,
     euler_scheme,
     lq_from_game,
     optimal_cost,
@@ -17,9 +19,12 @@ from mfglab.fbsde import (
     solve_adjoint_competitive,
     solve_adjoint_mkv,
     solve_lq_riccati,
+    solver_draws,
     verify_sufficiency,
 )
 from mfglab.fixedpoint import uncontrolled_flows
+from mfglab.hamiltonian import (HamiltonianContext, dmu_hamiltonian,
+                                dx_hamiltonian, minimize)
 from mfglab.measures import MeasureFlow, ParticleCloud, TimeGrid
 from mfglab.model import COOPERATIVE, builtin_game, gaussian_initial_law
 from mfglab.model import DiffusionCoefficients, PopulationLq
@@ -121,6 +126,30 @@ def test_picard_failure_reports_history():
     assert "stalled" in str(err.value)
 
 
+def test_non_finite_field_change_stops_picard():
+    # a terminal gradient that is NaN on the paths with x > 2 (about 2% of
+    # them) makes NaN gaps, which a max starting from 0.0 would drop
+    spec = builtin_game("lq-scalar")
+    pop = spec.populations[0]
+    base = pop.cost.dg_dx
+
+    def dg_dx(x, mu, nus):
+        out = np.array(base(x, mu, nus), dtype=float)
+        out[x[:, 0] > 2.0] = np.nan
+        return out
+
+    cost = dataclasses.replace(pop.cost, dg_dx=dg_dx)
+    bad = dataclasses.replace(
+        spec, populations=(dataclasses.replace(pop, cost=cost),))
+    cfg = SolverConfig(n_steps=10, n_paths=256)
+    flows = uncontrolled_flows(bad, cfg.n_steps, cfg.n_paths, 0)
+    with pytest.raises(PicardError) as err:
+        solve_adjoint(bad, 0, flows, cfg, seed=0)
+    assert "non-finite" in str(err.value)
+    assert len(err.value.history) == 1
+    assert np.isnan(err.value.history[0])
+
+
 def test_warm_start_converges_at_least_as_fast():
     spec, flows = _scalar_setup()
     cold = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
@@ -214,6 +243,39 @@ def test_euler_step_with_state_and_mean_linear_diffusion():
                     noise += sig * dW[0, p, l]
                 want[p, j] = x[p, j] + b * grid.dt + noise
         np.testing.assert_allclose(stepped, want, rtol=1e-12)
+
+
+def test_backward_knot_is_the_context_hamiltonian():
+    # one backward knot: Y = yhat + dt (dx H + dmu H), with both gradients
+    # taken point by point through the context API
+    spec, lq, s1, s1_bar = _diffusive_planner()
+    grid = TimeGrid(spec.horizon, 2)
+    n, degree, k = 64, 2, 0
+    xi, dW = solver_draws(spec, 0, n, grid, seed=4)
+    X, _, measures = _forward(
+        spec, 0, grid, xi, dW, None,
+        lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1, mkv=True)
+    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree, mkv=True)
+    _, yhat = KnotRegression(X[k], degree).solve(Y[k + 1])
+    t, (mu, nus) = grid.times[k], measures[k]
+    points = [HamiltonianContext(spec=spec, population=0, t=t, x=X[k][p],
+                                 mu=mu, nus=nus, y=yhat[p], z=Z[k][p])
+              for p in range(n)]
+    alpha = np.array([minimize(ctx) for ctx in points])
+    copies = HamiltonianContext(spec=spec, population=0, t=t, x=X[k], mu=mu,
+                                nus=nus, y=yhat)
+    mean_y, mean_z = yhat.mean(axis=0), Z[k].mean(axis=0)
+    dx = np.array([dx_hamiltonian(ctx, a) for ctx, a in zip(points, alpha)])
+    dmu = np.array([dmu_hamiltonian(copies, alpha, X[k][p], mean_y, mean_z)
+                    for p in range(n)])
+    np.testing.assert_allclose(Y[k], yhat + grid.dt * (dx + dmu), rtol=1e-12)
+    # the measure gradient holds the own-mean drift and diffusion terms and
+    # the copy average of df_dmu
+    df_dmu = spec.populations[0].cost.df_dmu(t, X[k], mu, nus, alpha, X[k])
+    want = (lq.A_bar.T @ mean_y + np.einsum("jlm,jl->m", s1_bar, mean_z)
+            + df_dmu.mean(axis=0))
+    np.testing.assert_allclose(dmu, np.broadcast_to(want, dmu.shape),
+                               rtol=1e-12)
 
 
 def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):

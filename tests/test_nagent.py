@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab import nagent
+from mfglab import hamiltonian, nagent
 from mfglab.fixedpoint import solve_matching
 from mfglab.hamiltonian import minimize_controls
 from mfglab.measures import ParticleCloud, sliced_w2
@@ -276,7 +276,8 @@ def test_null_deviation_evaluates_feedback_once_per_step(monkeypatch):
         rows.append(len(args[3]))
         return minimize_controls(*args, **kwargs)
 
-    monkeypatch.setattr(nagent, "minimize_controls", counted)
+    # the shared feedback calls hamiltonian.minimize_controls
+    monkeypatch.setattr(hamiltonian, "minimize_controls", counted)
     mask = np.zeros(64, dtype=bool)
     mask[0] = True
     dev_fn = nagent._deviation_fn(Deviation("null"), spec, 0, {})
