@@ -23,13 +23,13 @@ baseline = solve_matching(spec, cfg, seed=0)
 print("baseline: converged=%s iterations=%d cost=%.5f"
       % (baseline.converged, baseline.iterations, baseline.costs[0][0]))
 
-print("\n  level    flow distance   binding knots   affected particle-knots"
+print("\n  level    flow distance   binding knots   particles in bound clouds"
       "   cost")
 for level in (1e6, 2.0, 1.5, 1.0, 0.5):
     capped = truncated_solve(spec, level, cfg, seed=0)
     binding = capped.truncation_binding[0]
     dist = flow_distance(baseline.flows[0], capped.flows[0])
-    print("%7.2f  %14.6e  %13d  %22d   %.5f"
+    print("%7.2f  %14.6e  %13d  %25d   %.5f"
           % (level, dist, len(binding), sum(binding.values()),
              capped.costs[0][0]))
 

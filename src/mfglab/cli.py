@@ -97,20 +97,28 @@ def _pick_int(block, path, key, default, low=None, high=None):
     return value
 
 
-def _pick_float(block, path, key, default, low=None, low_open=None, high=None):
-    value = block.get(key, default)
+def _check_float(value, where, low=None, low_open=None, high=None):
+    """value as a float, range-checked. NaN is rejected first, since every
+    comparison with it is false."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
-            "%s.%s: expected a number, got %s" % (path, key, _type_name(value))
+            "%s: expected a number, got %s" % (where, _type_name(value))
         )
     value = float(value)
+    if value != value:
+        raise ConfigError("%s: expected a number, got nan" % where)
     if low is not None and value < low:
-        raise ConfigError("%s.%s: must be >= %g, got %g" % (path, key, low, value))
+        raise ConfigError("%s: must be >= %g, got %g" % (where, low, value))
     if low_open is not None and value <= low_open:
-        raise ConfigError("%s.%s: must be > %g, got %g" % (path, key, low_open, value))
+        raise ConfigError("%s: must be > %g, got %g" % (where, low_open, value))
     if high is not None and value > high:
-        raise ConfigError("%s.%s: must be <= %g, got %g" % (path, key, high, value))
+        raise ConfigError("%s: must be <= %g, got %g" % (where, high, value))
     return value
+
+
+def _pick_float(block, path, key, default, **bounds):
+    return _check_float(block.get(key, default), "%s.%s" % (path, key),
+                        **bounds)
 
 
 def _pick_bool(block, path, key, default):
@@ -281,14 +289,10 @@ def _experiment_from(block, command):
         if not isinstance(value, list) or not value:
             raise ConfigError("%s.levels: expected a non-empty list of positive "
                               "truncation levels" % path)
-        levels = []
-        for j, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError("%s.levels[%d]: expected a number" % (path, j))
-            if float(item) <= 0.0:
-                raise ConfigError("%s.levels[%d]: must be > 0" % (path, j))
-            levels.append(float(item))
-        out["levels"] = levels
+        out["levels"] = [
+            _check_float(item, "%s.levels[%d]" % (path, j), low_open=0.0)
+            for j, item in enumerate(value)
+        ]
     _reject_unknown(block, path, fields)
     return out
 
@@ -345,10 +349,8 @@ def load_config(path, command, seed_override=None, out_override=None,
         _as_map(raw.get("fixed_point"), "fixed_point"), "fixed_point",
         FixedPointConfig(solver=solver))
     if fp_tol_override is not None:
-        if fp_tol_override <= 0.0:
-            raise ConfigError("--fp-tol: must be > 0")
-        fixed_point = dataclasses.replace(fixed_point,
-                                          fp_tol=float(fp_tol_override))
+        fixed_point = dataclasses.replace(fixed_point, fp_tol=_check_float(
+            fp_tol_override, "--fp-tol", **_FIELD_CHECKS["fp_tol"][1]))
     experiment = _experiment_from(
         _as_map(raw.get("experiment"), "experiment"), command)
     return {

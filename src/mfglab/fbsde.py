@@ -14,6 +14,7 @@ a coupled linear two-point boundary system for the means, integrated with
 a classical fourth-order scheme on a refined grid.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 
@@ -140,6 +141,7 @@ class FbsdeSolution:
     Z: np.ndarray
     controls: np.ndarray
     field: DecouplingField
+    costs: np.ndarray  # per-path running plus terminal cost of the paths X
     picard_history: list = dc_field(default_factory=list)
     seed: int = 0
 
@@ -196,67 +198,61 @@ def solver_draws(spec, i, n, grid, seed):
     return xi, dW
 
 
+# One simulated population's Euler pass: paths (K + 1, n, d), controls
+# (K, n, k) or None, and its measure arguments (mu, nus) at each knot.
+ForwardRecord = namedtuple("ForwardRecord", "paths controls measures")
+
+
 def euler_scheme(spec, grid, simulated, xis, dWs, controls, flows=None,
-                 live=False):
+                 live=False, keep_controls=False):
     """Forward Euler for a set of populations stepped together.
 
     simulated lists population indices; xis[q] (n, d), dWs[q] (K, n, d) and
     controls[q](k, t, X, mu, nus) -> (n, k) belong to population
     simulated[q]. A simulated population's measure slot reads the live
     cloud of its particles when live is set; every other slot reads that
-    population's frozen flow. At each knot k = 0..K this yields
-    (k, states, measures, alphas), with measures[q] = (mu, nus) the
-    measure arguments of simulated[q] and alphas its controls (None at the
-    terminal knot), and then steps every state to X + b dt + sigma dW.
+    population's frozen flow. At each knot k < K every control is
+    evaluated, then every state steps to X + b dt + sigma dW. Returns one
+    ForwardRecord per simulated population, with its controls only when
+    keep_controls is set.
     """
     K = grid.n_steps
-    states = list(xis)
+    records = [
+        ForwardRecord(
+            np.empty((K + 1,) + np.shape(xi)),
+            np.empty((K, len(xi), spec.populations[j].action_set.dimension))
+            if keep_controls else None,
+            [])
+        for j, xi in zip(simulated, xis)
+    ]
+    for rec, xi in zip(records, xis):
+        rec.paths[0] = xi
     for k in range(K + 1):
         t = grid.times[k]
         clouds = {j: flow.clouds[k] for j, flow in enumerate(flows or ())}
         if live:
-            for j, X in zip(simulated, states):
-                clouds[j] = ParticleCloud(X)
-        measures = [measure_args(spec, j, clouds) for j in simulated]
+            for j, rec in zip(simulated, records):
+                clouds[j] = ParticleCloud(rec.paths[k])
+        for j, rec in zip(simulated, records):
+            rec.measures.append(measure_args(spec, j, clouds))
         if k == K:
-            yield k, states, measures, None
-            return
-        alphas = [
-            control(k, t, X, mu, nus)
-            for control, X, (mu, nus) in zip(controls, states, measures)
-        ]
-        yield k, states, measures, alphas
-        states = [
-            X + drift_batch(spec, j, t, X, mu, nus, alpha) * grid.dt
-            + _sigma_dw(spec.populations[j], t, X, mu, nus, dW[k])
-            for j, X, (mu, nus), alpha, dW in zip(
-                simulated, states, measures, alphas, dWs)
-        ]
+            return records
+        alphas = [control(k, t, rec.paths[k], *rec.measures[k])
+                  for control, rec in zip(controls, records)]
+        for j, rec, alpha, dW in zip(simulated, records, alphas, dWs):
+            X = rec.paths[k]
+            mu, nus = rec.measures[k]
+            rec.paths[k + 1] = (
+                X + drift_batch(spec, j, t, X, mu, nus, alpha) * grid.dt
+                + _sigma_dw(spec.populations[j], t, X, mu, nus, dW[k]))
+            if keep_controls:
+                rec.controls[k] = alpha
 
 
-def _forward(spec, i, grid, xi, dW, flows, control_fn, mkv,
-             keep_controls=False):
-    """Euler paths of population i under a feedback, with its measure
-    arguments (mu, nus) at each knot; the controls (K, n, k) too when kept."""
-    X = np.empty((grid.n_steps + 1,) + xi.shape)
-    controls = None
-    if keep_controls:
-        controls = np.empty((grid.n_steps, len(xi),
-                             spec.populations[i].action_set.dimension))
-    measures = []
-    for k, states, knot_measures, alphas in euler_scheme(
-            spec, grid, (i,), [xi], [dW], [control_fn], flows, live=mkv):
-        X[k] = states[0]
-        measures.append(knot_measures[0])
-        if keep_controls and alphas is not None:
-            controls[k] = alphas[0]
-    return X, controls, measures
-
-
-def _terminal_adjoint(spec, i, XK, mu, nus, mkv):
+def _terminal_adjoint(spec, i, XK, mu, nus):
     pop = spec.populations[i]
     Y = np.asarray(pop.cost.dg_dx(XK, mu, nus), dtype=float)
-    if mkv and pop.cost.dg_dmu is not None:
+    if pop.cooperation == COOPERATIVE and pop.cost.dg_dmu is not None:
         copies = mu.points
         Y = Y + _mean_over_copies(
             lambda V: pop.cost.dg_dmu(copies, mu, nus, V), XK
@@ -264,16 +260,17 @@ def _terminal_adjoint(spec, i, XK, mu, nus, mkv):
     return Y
 
 
-def _backward(spec, i, grid, X, dW, measures, degree, mkv, refit=None):
+def _backward(spec, i, grid, X, dW, measures, degree, refit=None):
     """Least-squares Monte Carlo backward pass along given forward paths
     and their per-knot measure arguments (mu, nus).
     One factorization per knot serves the Y fit, the Z fit and, if given,
     refit(k, fit, Y[k]); knot K is factored only for the refit."""
+    mkv = spec.populations[i].cooperation == COOPERATIVE
     K = grid.n_steps
     n, d = X[0].shape
     Y = np.empty((K + 1, n, d))
     Z = np.empty((K, n, d, d))
-    Y[K] = _terminal_adjoint(spec, i, X[K], *measures[K], mkv)
+    Y[K] = _terminal_adjoint(spec, i, X[K], *measures[K])
     if refit is not None:
         refit(K, KnotRegression(X[K], degree), Y[K])
     for k in range(K - 1, -1, -1):
@@ -301,8 +298,9 @@ def _rms_gap(a, b):
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
-def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
+def _solve_adjoint(spec, i, flows, config, seed, initial_field=None):
     pop = spec.populations[i]
+    mkv = pop.cooperation == COOPERATIVE
     cfg = config if config is not None else SolverConfig()
     grid = TimeGrid(spec.horizon, cfg.n_steps)
     _check_flows(spec, flows, grid)
@@ -315,7 +313,7 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
     muT, nusT = measure_args(spec, i, [flow.clouds[K] for flow in flows])
 
     def init_eval(k, Xk):
-        return _terminal_adjoint(spec, i, Xk, muT, nusT, mkv)
+        return _terminal_adjoint(spec, i, Xk, muT, nusT)
 
     if initial_field is not None and initial_field.grid == grid:
         prev_eval = initial_field.eval
@@ -333,8 +331,9 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
             old_vals.append(prev_eval(k, Xk))
             return old_vals[-1]
 
-        X, _, measures = _forward(spec, i, grid, xi, dW, flows,
-                                  field_feedback(spec, i, evaluate), mkv)
+        (X, _, measures), = euler_scheme(
+            spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, evaluate)],
+            flows, live=mkv)
         old_vals.append(prev_eval(K, X[K]))
         new_field = DecouplingField(grid, d, d, cfg.degree)
         gaps = [0.0]
@@ -344,7 +343,7 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
             fitted = new_field.fit_knot(k, fit, target)
             gaps.append(_rms_gap(fitted, old_vals[k]))
 
-        _backward(spec, i, grid, X, dW, measures, cfg.degree, mkv, refit)
+        _backward(spec, i, grid, X, dW, measures, cfg.degree, refit)
         delta = float(np.max(gaps))  # a NaN gap makes the delta NaN
         history.append(delta)
         if not np.isfinite(delta):
@@ -366,12 +365,11 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
         )
 
     # one consistent pass with the converged field, so the stored paths,
-    # controls, and adjoint values belong together
-    X, controls, measures = _forward(
-        spec, i, grid, xi, dW, flows, field_feedback(spec, i, field.eval), mkv,
-        keep_controls=True,
-    )
-    Y, Z = _backward(spec, i, grid, X, dW, measures, cfg.degree, mkv)
+    # controls, adjoint values and costs belong together
+    (X, controls, measures), = euler_scheme(
+        spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, field.eval)],
+        flows, live=mkv, keep_controls=True)
+    Y, Z = _backward(spec, i, grid, X, dW, measures, cfg.degree)
     return FbsdeSolution(
         population=i,
         grid=grid,
@@ -381,6 +379,7 @@ def _solve_adjoint(spec, i, flows, config, seed, mkv, initial_field=None):
         Z=Z,
         controls=controls,
         field=field,
+        costs=_path_costs(spec, i, grid, X, controls, measures),
         picard_history=history,
         seed=seed,
     )
@@ -393,8 +392,7 @@ def solve_adjoint_competitive(spec, i, flows, config=None, seed=0,
         raise ValueError(
             "population %d is cooperative; use solve_adjoint_mkv" % i
         )
-    return _solve_adjoint(spec, i, flows, config, seed, mkv=False,
-                          initial_field=initial_field)
+    return _solve_adjoint(spec, i, flows, config, seed, initial_field)
 
 
 def solve_adjoint_mkv(spec, i, flows, config=None, seed=0, initial_field=None):
@@ -408,8 +406,7 @@ def solve_adjoint_mkv(spec, i, flows, config=None, seed=0, initial_field=None):
         raise ValueError(
             "population %d is competitive; use solve_adjoint_competitive" % i
         )
-    return _solve_adjoint(spec, i, flows, config, seed, mkv=True,
-                          initial_field=initial_field)
+    return _solve_adjoint(spec, i, flows, config, seed, initial_field)
 
 
 def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
@@ -445,24 +442,10 @@ def _path_costs(spec, i, grid, X, controls, measures):
     return total
 
 
-def _solution_measures(spec, i, X, flows):
-    """Per-knot measure arguments of population i along its solved paths
-    X: the frozen flows, with a cooperative population's own slot read
-    from the clouds of X."""
-    mkv = spec.populations[i].cooperation == COOPERATIVE
-    out = []
-    for k, Xk in enumerate(X):
-        clouds = [flow.clouds[k] for flow in flows]
-        if mkv:
-            clouds[i] = ParticleCloud(Xk)
-        out.append(measure_args(spec, i, clouds))
-    return out
-
-
 def optimal_cost(spec, i, solution, flows):
-    """Monte Carlo cost of a solved population: (estimate, standard error)."""
-    costs = _path_costs(spec, i, solution.grid, solution.X, solution.controls,
-                        _solution_measures(spec, i, solution.X, flows))
+    """Monte Carlo cost of a solved population, (estimate, standard error),
+    from the per-path costs that its solve priced against flows."""
+    costs = solution.costs
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
 
 
@@ -492,10 +475,11 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
         J(beta) - J(alpha_hat) - lambda * |beta - alpha_hat|^2_grid,
 
     which optimality makes nonnegative up to Monte Carlo error; the pass
-    criterion allows 3 standard errors plus the stated tolerance.
+    criterion allows 3 standard errors plus the stated tolerance. flows are
+    the flows that solution was solved against, and J(alpha_hat) is the
+    per-path cost its solve priced.
     """
     pop = spec.populations[i]
-    mkv = pop.cooperation == COOPERATIVE
     cfg_like_n = solution.n_paths
     grid = solution.grid
     lam = spec.constants.convexity_lambda
@@ -505,9 +489,6 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
     xi, dW = solver_draws(spec, i, cfg_like_n, grid, solution.seed)
     if not np.array_equal(xi, solution.X[0]):
         raise ValueError("solution was not produced from this seed")
-
-    base_costs = _path_costs(spec, i, grid, solution.X, solution.controls,
-                             _solution_measures(spec, i, solution.X, flows))
 
     rng = substream(seed, "sufficiency:%d" % i)
     shifts = rng.uniform(-shift_scale, shift_scale, (n_deviations, k_dim))
@@ -521,15 +502,15 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
         def control_fn(k, t, Xk, mu, nus):
             return pop.action_set.project(base(k, t, Xk, mu, nus) + c[None, :])
 
-        Xd, controls_d, measures_d = _forward(spec, i, grid, xi, dW, flows,
-                                              control_fn, mkv,
-                                              keep_controls=True)
-        dev_costs = _path_costs(spec, i, grid, Xd, controls_d, measures_d)
+        dev, = euler_scheme(spec, grid, (i,), [xi], [dW], [control_fn], flows,
+                            live=pop.cooperation == COOPERATIVE,
+                            keep_controls=True)
+        dev_costs = _path_costs(spec, i, grid, *dev)
         gap2 = np.zeros(cfg_like_n)
         for k in range(K):
-            diff = controls_d[k] - solution.controls[k]
+            diff = dev.controls[k] - solution.controls[k]
             gap2 += w[k] * np.sum(diff**2, axis=1)
-        per_path = dev_costs - base_costs - lam * gap2
+        per_path = dev_costs - solution.costs - lam * gap2
         margins[j] = float(per_path.mean())
         ses[j] = float(per_path.std(ddof=1) / np.sqrt(cfg_like_n))
     return SufficiencyReport(

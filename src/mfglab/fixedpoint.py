@@ -119,12 +119,12 @@ def uncontrolled_flows(spec, n_steps, n_paths, seed):
                      for i in range(m)))
     anchors = [np.tile(pop.action_set.anchor_point, (n_paths, 1))
                for pop in spec.populations]
-    steps = euler_scheme(
+    records = euler_scheme(
         spec, grid, range(m), xis, dWs,
         [lambda k, t, X, mu, nus, a=a: a for a in anchors], live=True,
     )
-    clouds = [[mu for mu, _ in measures] for _, _, measures, _ in steps]
-    return [MeasureFlow(grid, column) for column in zip(*clouds)]
+    return [MeasureFlow(grid, [mu for mu, _ in rec.measures])
+            for rec in records]
 
 
 def _mix_flows(old, new, theta, mix, seed, iteration, index):
@@ -185,6 +185,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     converged = False
     solutions = None
     outputs = None
+    costs = None
     iteration = 0
     halved_at = -10
     for iteration in range(1, cfg.max_iterations + 1):
@@ -217,16 +218,14 @@ def solve_matching(spec, config=None, seed=0, workers=1):
             for i in range(m)
         )
         delta = max(deltas)
-        costs = tuple(
-            optimal_cost(spec, i, solutions[i], frozen)[0] for i in range(m)
-        )
+        costs = [optimal_cost(spec, i, solutions[i], frozen) for i in range(m)]
         history.append(
             HistoryRow(
                 iteration=iteration,
                 delta=delta,
                 theta=theta,
                 deltas=deltas,
-                costs=costs,
+                costs=tuple(c[0] for c in costs),
                 picard_iterations=tuple(
                     len(sol.picard_history) for sol in solutions
                 ),
@@ -250,7 +249,6 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         prev_outputs = outputs
         prev_solutions = solutions
 
-    final_costs = [optimal_cost(spec, i, solutions[i], frozen) for i in range(m)]
     for i in range(m):
         for k in range(len(outputs[i].grid)):
             if not np.array_equal(outputs[i].clouds[k].points, solutions[i].X[k]):
@@ -265,7 +263,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         solutions=list(solutions),
         iterations=iteration,
         history=history,
-        costs=final_costs,
+        costs=costs,
         converged=converged,
         config=cfg,
         seed=seed,
@@ -273,56 +271,36 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     )
 
 
-def _knot_of(grid, t):
-    k = int(round(t / grid.dt))
-    if k < 0 or k >= len(grid):
-        return None
-    return k
-
-
-def _truncating_population(pop, grid, level, binding):
+def _truncating_population(pop, level):
     """Wrap the designated coefficients so their measure arguments pass
     through the second-moment truncation first.
 
     Competitive populations truncate both the own measure and the other
     measures; cooperative ones keep the own (live) law untouched and
     truncate only the others. Slope coefficients are never wrapped.
-    binding is a dict knot -> count, updated whenever a truncation binds.
     """
     n = float(level)
     trunc_own = pop.cooperation == COMPETITIVE
 
-    def wrap(mu, nus, knot):
-        bound = False
-        if trunc_own:
-            tmu = truncate_phi_n(mu, n)
-            bound = bound or (tmu is not mu)
-        else:
-            tmu = mu
-        tnus = tuple(truncate_phi_n(v, n) for v in nus)
-        bound = bound or any(tv is not v for tv, v in zip(tnus, nus))
-        if bound and knot is not None:
-            binding[knot] = binding.get(knot, 0) + 1
-        return tmu, tnus
+    def wrap(mu, nus):
+        tmu = truncate_phi_n(mu, n) if trunc_own else mu
+        return tmu, tuple(truncate_phi_n(v, n) for v in nus)
 
     def wrap_t(fn):
         def inner(t, mu, nus, *rest):
-            tmu, tnus = wrap(mu, nus, _knot_of(grid, t))
-            return fn(t, tmu, tnus, *rest)
+            return fn(t, *wrap(mu, nus), *rest)
 
         return inner
 
     def wrap_txa(fn):
         def inner(t, x, mu, nus, *rest):
-            tmu, tnus = wrap(mu, nus, _knot_of(grid, t))
-            return fn(t, x, tmu, tnus, *rest)
+            return fn(t, x, *wrap(mu, nus), *rest)
 
         return inner
 
     def wrap_term(fn):
         def inner(x, mu, nus, *rest):
-            tmu, tnus = wrap(mu, nus, len(grid) - 1)
-            return fn(x, tmu, tnus, *rest)
+            return fn(x, *wrap(mu, nus), *rest)
 
         return inner
 
@@ -345,30 +323,45 @@ def _truncating_population(pop, grid, level, binding):
     return dataclasses.replace(pop, drift=drift, diffusion=diffusion, cost=cost)
 
 
+def _truncation_binding(spec, flows, level):
+    """Per population, {knot: particles} over the knots where a cloud that
+    its wrapped coefficients read from flows has a second-moment scale
+    above level: own and others for a competitive population, others only
+    for a cooperative one. The count is the particles of those clouds."""
+    out = []
+    for i, pop in enumerate(spec.populations):
+        read = [j for j in range(spec.n_populations)
+                if j != i or pop.cooperation == COMPETITIVE]
+        binding = {}
+        for k in range(len(flows[i].grid)):
+            bound = [flows[j].clouds[k].n for j in read
+                     if flows[j].clouds[k].moment2 > level]
+            if bound:
+                binding[str(k)] = sum(bound)
+        out.append(binding)
+    return out
+
+
 def truncated_solve(spec, level, config=None, seed=0, workers=1):
     """solve_matching with measure arguments truncated at the given level.
 
     The realized controls are exactly the untruncated minimizer applied to
     truncated measures, because the minimizer reads measures only through
     the wrapped coefficients. The report records the level and, per
-    population, the knots where truncation actually changed a measure.
+    population, the knots of the reported equilibrium's input flows where
+    truncation changed a measure, with the particles of the bound clouds.
     """
     if not level > 0:
         raise ValueError("truncation level must be positive")
     cfg = config if config is not None else FixedPointConfig()
-    grid = TimeGrid(spec.horizon, cfg.solver.n_steps)
-    binding = [dict() for _ in spec.populations]
-    pops = tuple(
-        _truncating_population(pop, grid, level, binding[i])
-        for i, pop in enumerate(spec.populations)
-    )
+    pops = tuple(_truncating_population(pop, level)
+                 for pop in spec.populations)
     wrapped = dataclasses.replace(spec, populations=pops)
     report = solve_matching(wrapped, cfg, seed=seed, workers=workers)
     report.spec_name = spec.name
     report.truncation_level = float(level)
-    report.truncation_binding = [
-        {str(k): v for k, v in sorted(b.items())} for b in binding
-    ]
+    report.truncation_binding = _truncation_binding(
+        spec, report.input_flows, float(level))
     return report
 
 

@@ -261,27 +261,10 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         _draw_bundles(spec, i, K, range(sizes[i]), seed, rep, grid.dt)
         for i in range(m)
     ))
-    paths = [np.empty((K + 1, sizes[i], spec.populations[i].state_dim))
-             for i in range(m)]
-    controls = [
-        np.empty((K, sizes[i], spec.populations[i].action_set.dimension))
-        for i in range(m)
-    ]
-    measures = []
-    steps = euler_scheme(spec, grid, range(m), xis, dWs,
-                         [control(i) for i in range(m)], flows,
-                         live=interacting)
-    for k, states, knot_measures, alphas in steps:
-        measures.append(knot_measures)
-        for i in range(m):
-            paths[i][k] = states[i]
-            if alphas is not None:
-                controls[i][k] = alphas[i]
-    costs = [
-        _path_costs(spec, i, grid, paths[i], controls[i],
-                    [knot[i] for knot in measures])
-        for i in range(m)
-    ]
+    records = euler_scheme(spec, grid, range(m), xis, dWs,
+                           [control(i) for i in range(m)], flows,
+                           live=interacting, keep_controls=True)
+    costs = [_path_costs(spec, i, grid, *records[i]) for i in range(m)]
 
     modes = []
     for i in range(m):
@@ -297,8 +280,8 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         grid=grid,
         sizes=tuple(sizes),
         interacting=interacting,
-        paths=paths,
-        controls=controls,
+        paths=[rec.paths for rec in records],
+        controls=[rec.controls for rec in records],
         costs=costs,
         modes=modes,
         permutations=perms,
@@ -393,13 +376,10 @@ def _iid_bulk_flow(spec, equilibrium, i, n, rng):
     d = pop.state_dim
     xi = np.asarray(pop.initial_law(rng, n), dtype=float).reshape(n, d)
     dW = rng.standard_normal((K, n, d)) * np.sqrt(grid.dt)
-    X = np.empty((K + 1, n, d))
-    for k, states, _, _ in euler_scheme(
-            spec, grid, (i,), [xi], [dW],
-            [field_feedback(spec, i, equilibrium.solutions[i].field.eval)],
-            equilibrium.flows):
-        X[k] = states[0]
-    return X
+    return euler_scheme(
+        spec, grid, (i,), [xi], [dW],
+        [field_feedback(spec, i, equilibrium.solutions[i].field.eval)],
+        equilibrium.flows)[0].paths
 
 
 def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
@@ -666,19 +646,13 @@ def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
     """Precommitted control paths: evaluate the deviation feedback along
     the deviator's own i.i.d. copy path (same bundle, frozen flows)."""
     grid = equilibrium.flows[0].grid
-    K = grid.n_steps
-    pop = spec.populations[i]
-    xi, dW = _draw_bundles(spec, i, K, tags, seed, rep, grid.dt)
+    xi, dW = _draw_bundles(spec, i, grid.n_steps, tags, seed, rep, grid.dt)
     feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
-    out = np.empty((K, len(tags), pop.action_set.dimension))
-    for k, _, _, alphas in euler_scheme(
-            spec, grid, (i,), [xi], [dW],
-            [lambda k, t, X, mu, nus: dev_fn(k, t, X, mu, nus,
-                                            feedback(k, t, X, mu, nus))],
-            equilibrium.flows):
-        if alphas is not None:
-            out[k] = alphas[0]
-    return out
+    return euler_scheme(
+        spec, grid, (i,), [xi], [dW],
+        [lambda k, t, X, mu, nus: dev_fn(k, t, X, mu, nus,
+                                        feedback(k, t, X, mu, nus))],
+        equilibrium.flows, keep_controls=True)[0].controls
 
 
 def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,

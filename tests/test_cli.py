@@ -1,9 +1,13 @@
+import glob
 import json
 import os
 
 import pytest
+import yaml
 
-from mfglab.cli import main
+from mfglab.cli import load_config, main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def _write(path, text):
@@ -221,6 +225,33 @@ def test_truncation_bad_level_rejected(tmp_path, capsys):
         "experiment:\n  kind: truncation-study\n  levels: [1.0, -2.0]\n"))
     assert main(["truncation-study", "--config", cfg]) == 2
     assert "levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,flags", [
+    ("solver:\n  n_steps: 10\n  picard_tol: .nan\n", []),
+    ("solver:\n  n_steps: 10\n  damping: .nan\n", []),
+    ("fixed_point:\n  fp_tol: .nan\n", []),
+    ("fixed_point:\n  theta: .nan\n", []),
+    ("", ["--fp-tol", "nan"]),
+], ids=["picard_tol", "damping", "fp_tol", "theta", "--fp-tol"])
+def test_nan_settings_rejected(tmp_path, capsys, extra, flags):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: lq-1pop\noutput_dir: %s\n%s" % (out, extra))
+    assert main(["solve", "--config", cfg] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "nan" in err
+    assert not out.exists()
+
+
+def test_shipped_configs_load():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            kind = (yaml.safe_load(fh).get("experiment") or {}).get(
+                "kind", "solve")
+        assert load_config(path, kind)["experiment"]["kind"] == kind, path
 
 
 def test_workers_flag_validated(tmp_path, capsys):

@@ -11,7 +11,7 @@ from mfglab.fbsde import (
     SolverConfig,
     _backward,
     _features,
-    _forward,
+    _path_costs,
     euler_scheme,
     lq_from_game,
     optimal_cost,
@@ -26,7 +26,8 @@ from mfglab.fixedpoint import uncontrolled_flows
 from mfglab.hamiltonian import (HamiltonianContext, dmu_hamiltonian,
                                 dx_hamiltonian, minimize)
 from mfglab.measures import MeasureFlow, ParticleCloud, TimeGrid
-from mfglab.model import COOPERATIVE, builtin_game, gaussian_initial_law
+from mfglab.model import (COOPERATIVE, builtin_game, gaussian_initial_law,
+                          measure_args)
 from mfglab.model import DiffusionCoefficients, PopulationLq
 from mfglab.model import GameSpec, ModelConstants, StructuralFlags
 from mfglab.model import population_from_lq
@@ -215,6 +216,58 @@ def _diffusive_planner():
     return spec, lq, s1, s1_bar
 
 
+def test_euler_scheme_records_paths_controls_and_measures():
+    # mixed-opec: population 0 is the cooperative cartel, 1 the fringe
+    spec = builtin_game("mixed-opec")
+    grid = TimeGrid(spec.horizon, 4)
+    flows = uncontrolled_flows(spec, 4, 64, 0)
+    xis, dWs = zip(*(solver_draws(spec, i, 32, grid, 1) for i in range(2)))
+    anchors = [pop.action_set.anchor_point for pop in spec.populations]
+    controls = [lambda k, t, X, mu, nus, a=a: np.tile(a, (len(X), 1))
+                for a in anchors]
+    for simulated, live in (((0, 1), False), ((0,), True)):
+        for keep in (False, True):
+            records = euler_scheme(spec, grid, simulated,
+                                   [xis[j] for j in simulated],
+                                   [dWs[j] for j in simulated],
+                                   [controls[j] for j in simulated], flows,
+                                   live=live, keep_controls=keep)
+            assert len(records) == len(simulated)
+            for j, rec in zip(simulated, records):
+                assert rec.paths.shape == (5, 32, 1)
+                assert np.array_equal(rec.paths[0], xis[j])
+                if keep:
+                    assert rec.controls.shape == (4, 32, 1)
+                    assert np.all(rec.controls == anchors[j])
+                else:
+                    assert rec.controls is None
+                assert len(rec.measures) == 5
+                for k, (mu, nus) in enumerate(rec.measures):
+                    if live:
+                        assert np.array_equal(mu.points, rec.paths[k])
+                    else:
+                        assert mu is flows[j].clouds[k]
+                    assert nus[0] is flows[1 - j].clouds[k]
+
+
+def test_solution_costs_price_the_final_pass():
+    spec = builtin_game("mixed-opec")
+    cfg = SolverConfig(n_steps=10, n_paths=256)
+    flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
+    for i in (0, 1):
+        sol = solve_adjoint(spec, i, flows, cfg, seed=0)
+        measures = []
+        for k, Xk in enumerate(sol.X):
+            clouds = [flow.clouds[k] for flow in flows]
+            if spec.populations[i].cooperation == COOPERATIVE:
+                clouds[i] = ParticleCloud(Xk)
+            measures.append(measure_args(spec, i, clouds))
+        want = _path_costs(spec, i, sol.grid, sol.X, sol.controls, measures)
+        assert np.array_equal(sol.costs, want)
+        assert optimal_cost(spec, i, sol, flows) == (
+            float(want.mean()), float(want.std(ddof=1) / np.sqrt(256)))
+
+
 def test_euler_step_with_state_and_mean_linear_diffusion():
     spec, lq, s1, s1_bar = _diffusive_planner()
     grid = TimeGrid(spec.horizon, 1)
@@ -226,10 +279,10 @@ def test_euler_step_with_state_and_mean_linear_diffusion():
     frozen = ParticleCloud(rng.standard_normal((7, 2)) + 1.0)
     flow = MeasureFlow(grid, [frozen, frozen])
     for live, m in ((True, x.mean(axis=0)), (False, frozen.mean)):
-        steps = euler_scheme(spec, grid, (0,), [x], [dW],
-                             [lambda k, t, X, mu, nus: alpha], [flow],
-                             live=live)
-        stepped = [states[0] for _, states, _, _ in steps][-1]
+        (paths, _, _), = euler_scheme(spec, grid, (0,), [x], [dW],
+                                      [lambda k, t, X, mu, nus: alpha],
+                                      [flow], live=live)
+        stepped = paths[-1]
         want = np.empty((n, 2))
         for p in range(n):
             for j in range(2):
@@ -252,10 +305,10 @@ def test_backward_knot_is_the_context_hamiltonian():
     grid = TimeGrid(spec.horizon, 2)
     n, degree, k = 64, 2, 0
     xi, dW = solver_draws(spec, 0, n, grid, seed=4)
-    X, _, measures = _forward(
-        spec, 0, grid, xi, dW, None,
-        lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1, mkv=True)
-    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree, mkv=True)
+    (X, _, measures), = euler_scheme(
+        spec, grid, (0,), [xi], [dW],
+        [lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1], live=True)
+    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree)
     _, yhat = KnotRegression(X[k], degree).solve(Y[k + 1])
     t, (mu, nus) = grid.times[k], measures[k]
     points = [HamiltonianContext(spec=spec, population=0, t=t, x=X[k][p],

@@ -122,6 +122,22 @@ def test_truncation_at_tiny_level_binds_and_moves_the_flow():
     assert gap > 1e-3
 
 
+def test_truncation_binding_counts_bound_clouds_of_the_input_flows():
+    spec = builtin_game("lq-1pop")
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
+    # every input cloud has a second-moment scale near 1.1, so at 0.25
+    # the one competitive population's own cloud binds at all 11 knots
+    capped = truncated_solve(spec, 0.25, cfg, seed=0)
+    assert capped.truncation_binding == [{str(k): 512 for k in range(11)}]
+    # at a level inside the spread of those scales only some knots bind
+    capped = truncated_solve(spec, 1.13, cfg, seed=0)
+    scales = [np.sqrt(np.mean(c.points[:, 0] ** 2))
+              for c in capped.input_flows[0].clouds]
+    want = {str(k): 512 for k, m2 in enumerate(scales) if m2 > 1.13}
+    assert 0 < len(want) < 11
+    assert capped.truncation_binding == [want]
+
+
 def test_truncation_level_must_be_positive():
     spec = builtin_game("lq-1pop")
     with pytest.raises(ValueError, match="positive"):
