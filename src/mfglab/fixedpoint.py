@@ -46,6 +46,8 @@ class FixedPointConfig:
             raise ValueError("mix must be 'paired' or 'resample'")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
+        if self.n_projections < 1:
+            raise ValueError("n_projections must be at least 1")
 
 
 @dataclass

@@ -182,11 +182,13 @@ def wasserstein1_1d(a, b):
     return float(np.mean(np.abs(xs - ys)))
 
 
-# Quantile cut layouts depend only on the two counts, so they are cached
-# and reused across knots and repetitions. A side whose cells take each
-# sample r times in a row, as when one count divides the other, is kept
-# as the run length r and gathered by np.repeat.
+# Quantile cut layouts depend only on the two counts, and sliced-W2 unit
+# directions only on (seed, count, dimension), so both are cached and
+# reused across knots and repetitions; cached directions are read-only.
+# A side whose cells take each sample r times in a row, as when one count
+# divides the other, is kept as the run length r and gathered by np.repeat.
 _QUANT_CACHE = {}
+_DIRS_CACHE = {}
 
 
 def _as_runs(idx, n):
@@ -218,21 +220,24 @@ def _quantile_layout(n, m):
 
 def sorted_slices(cloud, dirs=None):
     """The sorted 1-d slices that sorted_w2sq compares: the coordinate of
-    a 1-d cloud, or one sorted column per direction (row of dirs)."""
+    a 1-d cloud, or one sorted row per direction (row of dirs)."""
     if dirs is None:
         return np.sort(cloud.points[:, 0])
-    return np.sort(cloud.points @ dirs.T, axis=0)
+    proj = dirs @ cloud.points.T
+    proj.sort(axis=1)
+    return proj
 
 
 def sorted_w2sq(xs, ys):
     """Squared W2 between sorted slices, exact for any counts: a float
-    for two sorted samples, one value per column for two slice arrays."""
+    for two sorted samples, one value per row for two slice arrays."""
     if xs.ndim == 2:
-        if len(xs) == len(ys):
-            return np.mean((xs - ys) ** 2, axis=0)
-        return np.array(
-            [sorted_w2sq(xs[:, j], ys[:, j]) for j in range(xs.shape[1])]
-        )
+        if xs.shape[1] == ys.shape[1]:
+            # (n, P) buffer: each direction's squares add in particle order
+            sq = np.subtract(xs.T, ys.T, out=np.empty(xs.shape[::-1]))
+            sq *= sq
+            return sq.mean(axis=0)
+        return np.array([sorted_w2sq(x, y) for x, y in zip(xs, ys)])
     n, m = len(xs), len(ys)
     if n == m:
         return float(np.mean((xs - ys) ** 2))
@@ -260,9 +265,16 @@ def sliced_w2(a, b, n_projections=64, seed=0, return_slices=False):
         if return_slices:
             return val, np.array([val**2])
         return val
-    rng = substream(seed, "sliced-w2")
-    dirs = rng.standard_normal((int(n_projections), a.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    n_proj = int(n_projections)
+    if n_proj < 1:
+        raise ValueError("n_projections must be at least 1, got %d" % n_proj)
+    key = (int(seed), n_proj, a.dim)
+    if key not in _DIRS_CACHE:
+        dirs = substream(seed, "sliced-w2").standard_normal((n_proj, a.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs.setflags(write=False)
+        _DIRS_CACHE[key] = dirs
+    dirs = _DIRS_CACHE[key]
     vals = sorted_w2sq(sorted_slices(a, dirs), sorted_slices(b, dirs))
     out = float(np.sqrt(np.mean(vals)))
     if return_slices:

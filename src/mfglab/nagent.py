@@ -408,9 +408,9 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
 
     # Each reference knot is checked as a cloud once; the half reference
     # is its prefix. In d = 1 both are kept sorted and each N-agent prefix
-    # is sorted once for both; in d >= 2 the sorted projections of a
-    # reference would take n_projections / d times its memory, so
-    # sliced_w2 projects both clouds on every call.
+    # is sorted once for both; in d >= 2 a reference's sorted rows, one
+    # per direction, would take n_projections / d times its memory, so
+    # sliced_w2 projects and sorts both clouds on every call.
     refs = []
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)

@@ -149,3 +149,8 @@ def test_config_validation():
         FixedPointConfig(mix="geometric")
     with pytest.raises(ValueError, match="theta"):
         FixedPointConfig(theta=0.0)
+
+
+def test_config_needs_a_projection():
+    with pytest.raises(ValueError, match="n_projections"):
+        FixedPointConfig(n_projections=0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from mfglab import measures
 from mfglab.measures import (
     MeasureFlow,
     ParticleCloud,
@@ -19,6 +20,8 @@ from mfglab.measures import (
     flow_to_npz,
     resample,
     sliced_w2,
+    sorted_slices,
+    sorted_w2sq,
     truncate_phi_n,
     wasserstein1_1d,
     wasserstein2_1d,
@@ -144,6 +147,79 @@ def test_sliced_one_dim_is_exact():
     a = ParticleCloud(rng.standard_normal((40, 1)))
     b = ParticleCloud(rng.standard_normal((40, 1)))
     assert sliced_w2(a, b) == pytest.approx(wasserstein2_1d(a, b), abs=1e-14)
+
+
+def test_sliced_needs_a_projection():
+    a = ParticleCloud(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="n_projections"):
+        sliced_w2(a, a, n_projections=0)
+
+
+def test_sliced_directions_drawn_once_and_read_only(monkeypatch):
+    draws = []
+
+    def counted(seed, name):
+        draws.append(name)
+        return substream(seed, name)
+
+    monkeypatch.setattr(measures, "substream", counted)
+    rng = substream(8, "test-sliced-cache")
+    a = ParticleCloud(rng.standard_normal((30, 3)))
+    b = ParticleCloud(rng.standard_normal((20, 3)))
+    first = sliced_w2(a, b, n_projections=7, seed=12345)
+    assert sliced_w2(b, a, n_projections=7, seed=12345) == first
+    assert draws == ["sliced-w2"]
+    dirs = measures._DIRS_CACHE[(12345, 7, 3)]
+    assert not dirs.flags.writeable
+    fresh = substream(12345, "sliced-w2").standard_normal((7, 3))
+    np.testing.assert_array_equal(
+        dirs, fresh / np.linalg.norm(fresh, axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(1, 200),
+       m=st.integers(1, 200), counts=st.sampled_from(
+           ["equal", "one", "dividing", "any"]),
+       n_proj=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_sorted_slice_kernel_is_bitwise(dim, n, m, counts, n_proj, seed):
+    if counts == "equal":
+        m = n
+    elif counts == "one":
+        n = 1
+    elif counts == "dividing":
+        m = n * max(1, m // n)
+    rng = np.random.default_rng(seed)
+    a = ParticleCloud(rng.standard_normal((n, dim)))
+    b = ParticleCloud(2.0 + rng.standard_normal((m, dim)))
+    dirs = rng.standard_normal((n_proj, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    got = sorted_w2sq(sorted_slices(a, dirs), sorted_slices(b, dirs))
+    assert got.shape == (n_proj,)
+    # the column-sorted projections of the formula the row kernel replaced
+    xs = np.sort(a.points @ dirs.T, axis=0)
+    ys = np.sort(b.points @ dirs.T, axis=0)
+    if n == m:
+        np.testing.assert_array_equal(got, np.mean((xs - ys) ** 2, axis=0))
+        return
+    for j in range(n_proj):
+        pa, pb = ParticleCloud(xs[:, j]), ParticleCloud(ys[:, j])
+        assert np.sqrt(got[j]) == wasserstein2_1d_any(pa, pb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), n_proj=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_sliced_w2_below_exact_w2(n, n_proj, seed):
+    # projection onto a unit direction is 1-Lipschitz, so every slice's
+    # W2 is at most the full W2, whatever the directions
+    rng = np.random.default_rng(seed)
+    a = ParticleCloud(rng.standard_normal((n, 2)))
+    b = ParticleCloud(rng.standard_normal((n, 2)) * [2.0, 0.5] + 1.0)
+    cost = np.sum((a.points[:, None, :] - b.points[None, :, :]) ** 2, axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    exact = float(np.sqrt(np.mean(cost[rows, cols])))
+    assert sliced_w2(a, b, n_projections=n_proj, seed=seed) <= exact * (
+        1.0 + 1e-12)
 
 
 def test_cloud_immutability_and_moments():
