@@ -20,7 +20,7 @@ from .hamiltonian import field_feedback
 from .measures import (MeasureFlow, ParticleCloud, sliced_w2, sorted_slices,
                        sorted_w2sq)
 from .model import COMPETITIVE, COOPERATIVE, measure_args
-from .rng import parallel_map, substream
+from .rng import parallel_map, restart, stream_keys, substream
 
 MODE_COMPETITIVE = "competitive-agent"
 MODE_COOPERATIVE = "cooperative-population"
@@ -82,22 +82,26 @@ def default_deviations():
     )
 
 
-def _agent_stream(seed, rep, pop, agent):
-    return substream(seed, "nagent:rep:%d:pop:%d:agent:%d" % (rep, pop, agent))
-
-
-def _draw_bundles(spec, i, n_steps, tags, seed, rep, dt):
-    """Initial draws and Brownian increments of the given agent tags, in
-    the order given."""
-    pop = spec.populations[i]
-    d = pop.state_dim
-    xi = np.empty((len(tags), d))
-    dW = np.empty((n_steps, len(tags), d))
-    for idx, p in enumerate(tags):
-        rng = _agent_stream(seed, rep, i, p)
-        xi[idx] = np.asarray(pop.initial_law(rng, 1), dtype=float).reshape(d)
-        dW[:, idx, :] = rng.standard_normal((n_steps, d))
-    return xi, dW * np.sqrt(dt)
+def _draw_bundles(spec, grid, tags, seed, rep):
+    """(xis, dWs): initial draws and Brownian increments of the agents
+    tags[i] of population i, in the order given, each from its substream."""
+    rng = np.random.Generator(np.random.Philox())  # restarted per agent
+    xis, dWs = [], []
+    for i, pop_tags in enumerate(tags):
+        pop = spec.populations[i]
+        d = pop.state_dim
+        keys = stream_keys(seed, ["nagent:rep:%d:pop:%d:agent:%d" % (rep, i, p)
+                                  for p in pop_tags])
+        xi = np.empty((len(keys), d))
+        dW = np.empty((grid.n_steps, len(keys), d))
+        for idx, key in enumerate(keys):
+            restart(rng, key)
+            xi[idx] = np.asarray(pop.initial_law(rng, 1),
+                                 dtype=float).reshape(d)
+            dW[:, idx, :] = rng.standard_normal((grid.n_steps, d))
+        xis.append(xi)
+        dWs.append(dW * np.sqrt(grid.dt))
+    return xis, dWs
 
 
 def _deviation_fn(dev, spec, i, strategies):
@@ -220,7 +224,8 @@ def _check_permutations(sizes, permutations):
 
 
 def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
-                deviating=None, open_loop_controls=None, permutations=None):
+                deviating=None, open_loop_controls=None, permutations=None,
+                bundles=None):
     """Simulate the coupled (or i.i.d.) agent system in tag order.
 
     deviating: None or dict {pop index: (bool mask over tags, control fn)};
@@ -228,10 +233,10 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
     equilibrium control alpha at X (see _deviation_fn).
     open_loop_controls: dict {pop index: (K, n_dev, k) array} overriding
     the deviating agents' controls with a precommitted process.
+    bundles: the (xis, dWs) of every tag, when already drawn.
     """
     m = spec.n_populations
     grid = equilibrium.flows[0].grid
-    K = grid.n_steps
     flows = equilibrium.flows
     perms = _check_permutations(sizes, permutations)
     deviating = deviating or {}
@@ -257,23 +262,17 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
 
         return fn
 
-    xis, dWs = zip(*(
-        _draw_bundles(spec, i, K, range(sizes[i]), seed, rep, grid.dt)
-        for i in range(m)
-    ))
+    xis, dWs = bundles or _draw_bundles(spec, grid, [range(n) for n in sizes],
+                                        seed, rep)
     records = euler_scheme(spec, grid, range(m), xis, dWs,
                            [control(i) for i in range(m)], flows,
                            live=interacting, keep_controls=True)
     costs = [_path_costs(spec, i, grid, *records[i]) for i in range(m)]
 
-    modes = []
-    for i in range(m):
-        mode_row = ["mean-field-feedback"] * sizes[i]
-        if i in deviating:
-            mask = deviating[i][0]
-            for p in np.where(mask)[0]:
-                mode_row[p] = "deviating"
-        modes.append(mode_row)
+    modes = [["mean-field-feedback"] * n for n in sizes]
+    for i, (mask, _) in deviating.items():
+        for p in np.where(mask)[0]:
+            modes[i][p] = "deviating"
 
     return AgentSystem(
         spec_name=spec.name,
@@ -642,11 +641,10 @@ def _validate_mode(spec, mode, population):
     return target, "agent"
 
 
-def _open_loop_shadow(spec, equilibrium, i, tags, seed, rep, dev_fn):
+def _open_loop_shadow(spec, equilibrium, i, xi, dW, dev_fn):
     """Precommitted control paths: evaluate the deviation feedback along
-    the deviator's own i.i.d. copy path (same bundle, frozen flows)."""
+    the deviators' own i.i.d. copy paths (their bundles, frozen flows)."""
     grid = equilibrium.flows[0].grid
-    xi, dW = _draw_bundles(spec, i, grid.n_steps, tags, seed, rep, grid.dt)
     feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
     return euler_scheme(
         spec, grid, (i,), [xi], [dW],
@@ -683,35 +681,31 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     def one_task(task):
         n, rep = task
         sizes = _normalize_sizes(spec, n)
-        baseline = simulate_interacting(spec, equilibrium, sizes, seed=seed,
-                                        rep=rep)
-        if unit == "agent":
-            mask = np.zeros(sizes[target], dtype=bool)
-            mask[0] = True
-        else:
-            mask = np.ones(sizes[target], dtype=bool)
-        tags = np.where(mask)[0]
+        # one bundle draw serves the baseline and every deviation
+        bundles = _draw_bundles(spec, equilibrium.flows[0].grid,
+                                [range(size) for size in sizes], seed, rep)
+        baseline = _run_system(spec, equilibrium, sizes, seed, rep, True,
+                               bundles=bundles)
+        mask = np.full(sizes[target], unit == "population")
+        mask[0] = True
         dev_rows = {}
         for dev in devs:
             dev_fn = _deviation_fn(dev, spec, target, strategies)
             open_ctrl = None
             if open_loop and dev.kind != "null":
                 open_ctrl = {
-                    target: _open_loop_shadow(spec, equilibrium, target, tags,
-                                              seed, rep, dev_fn)
+                    target: _open_loop_shadow(
+                        spec, equilibrium, target, bundles[0][target][mask],
+                        bundles[1][target][:, mask], dev_fn)
                 }
-            system = simulate_interacting(
-                spec, equilibrium, sizes, seed=seed, rep=rep,
+            system = _run_system(
+                spec, equilibrium, sizes, seed, rep, True,
                 deviating={target: (mask, dev_fn)},
-                open_loop_controls=open_ctrl,
+                open_loop_controls=open_ctrl, bundles=bundles,
             )
-            if unit == "agent":
-                gain = float(system.costs[target][0]
-                             - baseline.costs[target][0])
-            else:
-                gain = float(system.costs[target].mean()
-                             - baseline.costs[target].mean())
-            dev_rows[dev.ident] = gain
+            # the deviating unit's mean cost change (one agent, or all)
+            dev_rows[dev.ident] = float(system.costs[target][mask].mean()
+                                        - baseline.costs[target][mask].mean())
         base_costs = [baseline.costs[i] for i in range(m)]
         return n, rep, dev_rows, base_costs
 

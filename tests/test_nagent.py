@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import hamiltonian, nagent
 from mfglab.fixedpoint import solve_matching
 from mfglab.hamiltonian import minimize_controls
-from mfglab.measures import ParticleCloud, sliced_w2
+from mfglab.measures import ParticleCloud, TimeGrid, sliced_w2
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
                           builtin_game, gaussian_initial_law,
                           population_from_lq)
@@ -284,3 +288,66 @@ def test_null_deviation_evaluates_feedback_once_per_step(monkeypatch):
     simulate_interacting(spec, eq, 64, seed=0, deviating={0: (mask, dev_fn)})
     # one full-batch feedback evaluation per step, shared by the deviator
     assert rows == [64] * 10
+
+
+def _seed_sequence_bundles(spec, i, n_steps, tags, seed, rep, dt):
+    """Bundles drawn as one SeedSequence-seeded Philox per agent, the way
+    _draw_bundles drew them before keys were derived in bulk."""
+    pop = spec.populations[i]
+    d = pop.state_dim
+    xi = np.empty((len(tags), d))
+    dW = np.empty((n_steps, len(tags), d))
+    for idx, p in enumerate(tags):
+        name = "nagent:rep:%d:pop:%d:agent:%d" % (rep, i, p)
+        tag = int.from_bytes(hashlib.blake2b(name.encode("utf-8"),
+                                             digest_size=8).digest(), "little")
+        rng = np.random.Generator(np.random.Philox(
+            seed=np.random.SeedSequence([seed & (2**64 - 1), tag])))
+        xi[idx] = np.asarray(pop.initial_law(rng, 1), dtype=float).reshape(d)
+        dW[:, idx, :] = rng.standard_normal((n_steps, d))
+    return xi, dW * np.sqrt(dt)
+
+
+@pytest.mark.parametrize("game", ["lq-bimodal", "lq-2pop-competitive"])
+def test_draw_bundles_equal_per_agent_seed_sequences(game):
+    # lq-bimodal's beta draws take a variable share of each agent's stream
+    spec = builtin_game(game)
+    grid = TimeGrid(spec.horizon, 12)
+    shuffle = np.random.default_rng(4).permutation
+    tags = [shuffle(300)[:97] for _ in range(spec.n_populations)]
+    for seed, rep in [(0, 0), (2**64 - 1, 3), (-2, 17), (2**40 + 5, 1)]:
+        xis, dWs = nagent._draw_bundles(spec, grid, tags, seed, rep)
+        for i, pop_tags in enumerate(tags):
+            xi, dW = _seed_sequence_bundles(spec, i, grid.n_steps, pop_tags,
+                                            seed, rep, grid.dt)
+            assert xis[i].tobytes() == xi.tobytes()
+            assert dWs[i].tobytes() == dW.tobytes()
+
+
+def test_chaos_rate_same_report_for_any_worker_count():
+    spec = builtin_game("lq-bimodal")
+    eq = cached_equilibrium("lq-bimodal", n_steps=10, n_paths=512)
+    one = chaos_rate(spec, eq, (12, 40, 64), repetitions=4, seed=1,
+                     workers=1)
+    four = chaos_rate(spec, eq, (12, 40, 64), repetitions=4, seed=1,
+                      workers=4)
+    assert one.to_dict() == four.to_dict()
+    assert one.knot_curves[0].tobytes() == four.knot_curves[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=st.sampled_from(["lq-bimodal", "lq-2pop-competitive"]),
+       small=st.integers(0, 40), extra=st.integers(1, 60),
+       seed=st.integers(-(2**64), 2**65), rep=st.integers(0, 1000))
+def test_iid_bundles_prefix_stable_for_any_sizes(game, small, extra, seed,
+                                                 rep):
+    # the N-agent system's bundles are the first N of any larger one's
+    spec = builtin_game(game)
+    grid = TimeGrid(spec.horizon, 10)
+    m = spec.n_populations
+    xa, dwa = nagent._draw_bundles(spec, grid, [range(small)] * m, seed, rep)
+    xb, dwb = nagent._draw_bundles(spec, grid, [range(small + extra)] * m,
+                                   seed, rep)
+    for i in range(m):
+        assert xa[i].tobytes() == xb[i][:small].tobytes()
+        assert dwa[i].tobytes() == dwb[i][:, :small].tobytes()
