@@ -10,7 +10,7 @@ decoupling-field slope on the oracle curve.
 
 import numpy as np
 
-from mfglab.fbsde import SolverConfig, lq_from_game, solve_adjoint_competitive
+from mfglab.fbsde import SolverConfig, lq_from_game, solve_adjoint
 from mfglab.fbsde import solve_lq_riccati
 from mfglab.fixedpoint import uncontrolled_flows
 from mfglab.model import builtin_game
@@ -21,7 +21,7 @@ cfg = SolverConfig(n_steps=50, n_paths=4096)
 # the adjoint solver needs frozen flows; with no coupling any flow works,
 # so feed it the uncontrolled state distribution
 flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, seed=0)
-sol = solve_adjoint_competitive(spec, 0, flows, cfg, seed=0)
+sol = solve_adjoint(spec, 0, flows, cfg, seed=0)
 
 oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
 

@@ -37,11 +37,9 @@ from .measures import (
     flow_from_npz,
     flow_to_csv,
     flow_to_npz,
-    moment2,
     resample,
     sliced_w2,
     truncate_phi_n,
-    wasserstein1_1d,
     wasserstein2_1d,
     wasserstein2_1d_any,
 )
@@ -68,8 +66,6 @@ from .fbsde import (
     lq_from_game,
     optimal_cost,
     solve_adjoint,
-    solve_adjoint_competitive,
-    solve_adjoint_mkv,
     solve_lq_riccati,
     verify_sufficiency,
 )

@@ -48,6 +48,7 @@ from .measures import flow_distance, flow_to_csv
 from .model import builtin_game, builtin_library
 from .nagent import (
     ALL_MODES,
+    DEVIATION_KINDS,
     MODE_COMPETITIVE,
     Deviation,
     StructuralFlagError,
@@ -221,9 +222,6 @@ def _config_from(block, path, defaults):
     return dataclasses.replace(defaults, **picked)
 
 
-_DEVIATION_KINDS = ("shift", "anchor", "null", "best-response")
-
-
 def _deviations_from(block, path):
     value = block.get("deviations", None)
     if value is None:
@@ -235,7 +233,7 @@ def _deviations_from(block, path):
         here = "%s.deviations[%d]" % (path, j)
         item = _as_map(item, here)
         _reject_unknown(item, here, {"kind", "value"})
-        kind = _pick_choice(item, here, "kind", None, _DEVIATION_KINDS)
+        kind = _pick_choice(item, here, "kind", None, DEVIATION_KINDS)
         if kind in ("shift", "best-response"):
             if "value" not in item:
                 raise ConfigError("%s.value: required for %s deviations"

@@ -23,7 +23,7 @@ import numpy as np
 from .hamiltonian import (_mean_over_copies, dmu_hamiltonian_batch,
                           drift_batch, dx_hamiltonian_batch, field_feedback,
                           minimize_controls)
-from .measures import MeasureFlow, ParticleCloud, TimeGrid
+from .measures import ParticleCloud, TimeGrid
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import substream
 
@@ -44,6 +44,10 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.degree < 1 or self.degree > 3:
             raise ValueError("feature degree must be 1, 2, or 3")
+        if self.max_picard < 1:
+            raise ValueError("max_picard must be at least 1")
+        if not self.picard_tol > 0.0:  # NaN fails too
+            raise ValueError("picard_tol must be positive")
 
 
 class PicardError(RuntimeError):
@@ -144,11 +148,6 @@ class FbsdeSolution:
     costs: np.ndarray  # per-path running plus terminal cost of the paths X
     picard_history: list = dc_field(default_factory=list)
     seed: int = 0
-
-    def state_flow(self):
-        return MeasureFlow(
-            self.grid, [ParticleCloud(self.X[k]) for k in range(len(self.grid))]
-        )
 
 
 def _trapezoid_weights(grid):
@@ -298,7 +297,14 @@ def _rms_gap(a, b):
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
-def _solve_adjoint(spec, i, flows, config, seed, initial_field=None):
+def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
+    """Adjoint solve for population i against the input flows.
+
+    A competitive population reads every measure argument from the frozen
+    flows. A cooperative population is solved as a McKean-Vlasov problem:
+    its own law is the live empirical law of the simulated batch, and its
+    own entry of flows only initializes the first terminal field.
+    """
     pop = spec.populations[i]
     mkv = pop.cooperation == COOPERATIVE
     cfg = config if config is not None else SolverConfig()
@@ -383,38 +389,6 @@ def _solve_adjoint(spec, i, flows, config, seed, initial_field=None):
         picard_history=history,
         seed=seed,
     )
-
-
-def solve_adjoint_competitive(spec, i, flows, config=None, seed=0,
-                              initial_field=None):
-    """Adjoint solve for a competitive population against frozen flows."""
-    if spec.populations[i].cooperation != COMPETITIVE:
-        raise ValueError(
-            "population %d is cooperative; use solve_adjoint_mkv" % i
-        )
-    return _solve_adjoint(spec, i, flows, config, seed, initial_field)
-
-
-def solve_adjoint_mkv(spec, i, flows, config=None, seed=0, initial_field=None):
-    """McKean-Vlasov adjoint solve: the own law is the live particle law.
-
-    The i-th entry of flows is used only to initialize the terminal field;
-    coefficients, costs, and the extra driver terms read the empirical law
-    of the simulated batch at each knot.
-    """
-    if spec.populations[i].cooperation != COOPERATIVE:
-        raise ValueError(
-            "population %d is competitive; use solve_adjoint_competitive" % i
-        )
-    return _solve_adjoint(spec, i, flows, config, seed, initial_field)
-
-
-def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
-    """Dispatch on the population's cooperation kind."""
-    if spec.populations[i].cooperation == COOPERATIVE:
-        return solve_adjoint_mkv(spec, i, flows, config, seed, initial_field)
-    return solve_adjoint_competitive(spec, i, flows, config, seed,
-                                     initial_field)
 
 
 # ---------------------------------------------------------------------------

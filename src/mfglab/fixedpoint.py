@@ -1,10 +1,10 @@
 """Damped fixed-point iteration on measure flows.
 
 The map Phi sends a tuple of frozen flows to the empirical laws of the
-optimally controlled states, one adjoint solve per population with the
-solver matching its cooperation kind. Equilibria are fixed points of Phi;
-the iteration mixes each new flow into the old one with a damping weight
-and stops when successive Phi outputs agree in flow distance.
+optimally controlled states, one adjoint solve per population, whose
+cooperation kind picks its adjoint equation. Equilibria are fixed points
+of Phi; the iteration mixes each new flow into the old one with a damping
+weight and stops when successive Phi outputs agree in flow distance.
 """
 
 import dataclasses
@@ -23,6 +23,7 @@ from .measures import (
     MeasureFlow,
     ParticleCloud,
     TimeGrid,
+    empirical_from_states,
     flow_distance,
     truncate_phi_n,
 )
@@ -48,6 +49,10 @@ class FixedPointConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.n_projections < 1:
             raise ValueError("n_projections must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not self.fp_tol > 0.0:  # NaN fails too
+            raise ValueError("fp_tol must be positive")
 
 
 @dataclass
@@ -212,7 +217,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
                 ) from exc
 
         solutions = parallel_map(one, list(range(m)), workers=workers)
-        outputs = [sol.state_flow() for sol in solutions]
+        outputs = [empirical_from_states(sol.grid, sol.X) for sol in solutions]
         deltas = tuple(
             flow_distance(
                 outputs[i], prev_outputs[i], n_projections=cfg.n_projections

@@ -87,11 +87,6 @@ class ParticleCloud:
         return "ParticleCloud(n=%d, dim=%d)" % (self.n, self.dim)
 
 
-def moment2(cloud):
-    """Second-moment scale (E |x|^2)^(1/2) of a cloud."""
-    return cloud.moment2
-
-
 def truncate_phi_n(cloud, n):
     """Radial truncation x -> n * x / max(M2, n) applied to every particle.
 
@@ -167,19 +162,7 @@ def wasserstein2_1d(a, b):
             "equal particle counts required (%d vs %d); resample first"
             % (a.n, b.n)
         )
-    xs = np.sort(a.points[:, 0])
-    ys = np.sort(b.points[:, 0])
-    return float(np.sqrt(np.mean((xs - ys) ** 2)))
-
-
-def wasserstein1_1d(a, b):
-    """Exact W1 between two equal-count clouds on the line."""
-    _require_dim(a, b, 1)
-    if a.n != b.n:
-        raise ValueError("equal particle counts required; resample first")
-    xs = np.sort(a.points[:, 0])
-    ys = np.sort(b.points[:, 0])
-    return float(np.mean(np.abs(xs - ys)))
+    return wasserstein2_1d_any(a, b)
 
 
 # Quantile cut layouts depend only on the two counts, and sliced-W2 unit
@@ -218,12 +201,25 @@ def _quantile_layout(n, m):
     return _QUANT_CACHE[key]
 
 
+# points projected per block in sorted_slices
+_PROJ_BLOCK = 128
+
+
 def sorted_slices(cloud, dirs=None):
     """The sorted 1-d slices that sorted_w2sq compares: the coordinate of
     a 1-d cloud, or one sorted row per direction (row of dirs)."""
     if dirs is None:
         return np.sort(cloud.points[:, 0])
-    proj = dirs @ cloud.points.T
+    # projected as points @ dirs.T, since dirs @ points.T rounds a few
+    # entries differently; block by block, so each block's product is
+    # transposed in cache, and no block is a single row, which numpy
+    # would multiply as a vector with other rounding
+    pts = cloud.points
+    n = len(pts)
+    proj = np.empty((len(dirs), n))
+    for i in range(0, max(n - 1, 1), _PROJ_BLOCK):
+        j = i + _PROJ_BLOCK if i + _PROJ_BLOCK < n - 1 else n
+        proj[:, i:j] = (pts[i:j] @ dirs.T).T
     proj.sort(axis=1)
     return proj
 

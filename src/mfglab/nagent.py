@@ -2,12 +2,11 @@
 rates, and approximate-Nash gaps.
 
 Every agent owns an independent randomness bundle (initial draw plus
-Brownian increments) keyed by a stable tag, so simulations are nested
-across population sizes and exchangeable by construction: permuting
-agent labels permutes the bundles without changing any estimate, and the
-N-agent i.i.d. system is a prefix of the larger one. The interacting
-system feeds live empirical clouds to the coefficients while controls
-always read the frozen equilibrium flows and decoupling fields.
+Brownian increments) keyed by a stable tag, and systems always run in tag
+order, so simulations are nested across population sizes: the N-agent
+i.i.d. system is a prefix of the larger one. The interacting system
+feeds live empirical clouds to the coefficients while controls always
+read the frozen equilibrium flows and decoupling fields.
 """
 
 import dataclasses
@@ -17,8 +16,7 @@ import numpy as np
 
 from .fbsde import _path_costs, euler_scheme, solve_adjoint
 from .hamiltonian import field_feedback
-from .measures import (MeasureFlow, ParticleCloud, sliced_w2, sorted_slices,
-                       sorted_w2sq)
+from .measures import ParticleCloud, sliced_w2, sorted_slices, sorted_w2sq
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import parallel_map, restart, stream_keys, substream
 
@@ -32,6 +30,7 @@ ALL_MODES = (
     MODE_MIXED_POPULATION,
     MODE_MIXED_AGENT,
 )
+DEVIATION_KINDS = ("shift", "anchor", "null", "best-response")
 
 
 class StructuralFlagError(ValueError):
@@ -59,7 +58,7 @@ class Deviation:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("shift", "anchor", "null", "best-response"):
+        if self.kind not in DEVIATION_KINDS:
             raise ValueError("unknown deviation kind %r" % self.kind)
 
     @property
@@ -173,59 +172,19 @@ def prepare_best_response(spec, i, equilibrium, tilt):
 
 @dataclass
 class AgentSystem:
-    spec_name: str
     grid: object
     sizes: tuple
-    interacting: bool
     paths: list
-    controls: list
     costs: list
-    modes: list
-    permutations: list
-    seed: int
-    rep: int
 
     def cost_estimate(self, i):
-        """Population-average cost with its standard error, computed in
-        canonical tag order (permutation-invariant by construction)."""
+        """Population-average cost with its standard error."""
         c = self.costs[i]
         return float(c.mean()), float(c.std(ddof=1) / np.sqrt(len(c)))
 
-    def agent_costs(self, i):
-        """Per-agent costs in label order (permuted view of tag order)."""
-        perm = self.permutations[i]
-        if perm is None:
-            return self.costs[i].copy()
-        return self.costs[i][np.asarray(perm)]
-
-    def empirical_flow(self, i):
-        return MeasureFlow(
-            self.grid,
-            [ParticleCloud(self.paths[i][k]) for k in range(len(self.grid))],
-        )
-
-
-def _check_permutations(sizes, permutations):
-    if permutations is None:
-        return [None] * len(sizes)
-    out = []
-    for i, perm in enumerate(permutations):
-        if perm is None:
-            out.append(None)
-            continue
-        arr = np.asarray(perm, dtype=int)
-        if sorted(arr.tolist()) != list(range(sizes[i])):
-            raise ValueError(
-                "permutation for population %d is not a bijection on %d tags"
-                % (i, sizes[i])
-            )
-        out.append(arr)
-    return out
-
 
 def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
-                deviating=None, open_loop_controls=None, permutations=None,
-                bundles=None):
+                deviating=None, open_loop_controls=None, bundles=None):
     """Simulate the coupled (or i.i.d.) agent system in tag order.
 
     deviating: None or dict {pop index: (bool mask over tags, control fn)};
@@ -238,7 +197,6 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
     m = spec.n_populations
     grid = equilibrium.flows[0].grid
     flows = equilibrium.flows
-    perms = _check_permutations(sizes, permutations)
     deviating = deviating or {}
     open_loop_controls = open_loop_controls or {}
 
@@ -267,25 +225,11 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
     records = euler_scheme(spec, grid, range(m), xis, dWs,
                            [control(i) for i in range(m)], flows,
                            live=interacting, keep_controls=True)
-    costs = [_path_costs(spec, i, grid, *records[i]) for i in range(m)]
-
-    modes = [["mean-field-feedback"] * n for n in sizes]
-    for i, (mask, _) in deviating.items():
-        for p in np.where(mask)[0]:
-            modes[i][p] = "deviating"
-
     return AgentSystem(
-        spec_name=spec.name,
         grid=grid,
         sizes=tuple(sizes),
-        interacting=interacting,
         paths=[rec.paths for rec in records],
-        controls=[rec.controls for rec in records],
-        costs=costs,
-        modes=modes,
-        permutations=perms,
-        seed=seed,
-        rep=rep,
+        costs=[_path_costs(spec, i, grid, *records[i]) for i in range(m)],
     )
 
 
@@ -303,8 +247,7 @@ def _require_converged(equilibrium):
         raise ValueError("equilibrium report is not converged")
 
 
-def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0,
-                        permutations=None):
+def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0):
     """Independent copies of the mean-field optimal state, one per agent.
 
     Both coefficients and controls read the frozen equilibrium flows, so
@@ -313,12 +256,10 @@ def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0,
     """
     _require_converged(equilibrium)
     sizes = _normalize_sizes(spec, N)
-    return _run_system(spec, equilibrium, sizes, seed, rep, interacting=False,
-                       permutations=permutations)
+    return _run_system(spec, equilibrium, sizes, seed, rep, interacting=False)
 
 
-def simulate_interacting(spec, equilibrium, N, seed=0, rep=0,
-                         permutations=None, deviating=None,
+def simulate_interacting(spec, equilibrium, N, seed=0, rep=0, deviating=None,
                          open_loop_controls=None):
     """Coupled Euler system: coefficients read per-knot empirical clouds,
     controls read frozen equilibrium flows and decoupling fields."""
@@ -326,8 +267,7 @@ def simulate_interacting(spec, equilibrium, N, seed=0, rep=0,
     sizes = _normalize_sizes(spec, N)
     return _run_system(spec, equilibrium, sizes, seed, rep, interacting=True,
                        deviating=deviating,
-                       open_loop_controls=open_loop_controls,
-                       permutations=permutations)
+                       open_loop_controls=open_loop_controls)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from mfglab.fbsde import (
     SolverConfig,
     lq_from_game,
-    solve_adjoint_competitive,
+    solve_adjoint,
     solve_lq_riccati,
     verify_sufficiency,
 )
@@ -76,7 +76,7 @@ def test_acceptance_01_riccati_slope():
     spec = builtin_game("lq-scalar")
     cfg = SolverConfig(n_steps=50, n_paths=4096)
     flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
-    sol = solve_adjoint_competitive(spec, 0, flows, cfg, seed=0)
+    sol = solve_adjoint(spec, 0, flows, cfg, seed=0)
     oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
     worst = 0.0
     for k, t in enumerate(sol.grid.times):

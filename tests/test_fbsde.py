@@ -16,8 +16,6 @@ from mfglab.fbsde import (
     lq_from_game,
     optimal_cost,
     solve_adjoint,
-    solve_adjoint_competitive,
-    solve_adjoint_mkv,
     solve_lq_riccati,
     solver_draws,
     verify_sufficiency,
@@ -25,7 +23,8 @@ from mfglab.fbsde import (
 from mfglab.fixedpoint import uncontrolled_flows
 from mfglab.hamiltonian import (HamiltonianContext, dmu_hamiltonian,
                                 dx_hamiltonian, minimize)
-from mfglab.measures import MeasureFlow, ParticleCloud, TimeGrid
+from mfglab.measures import (MeasureFlow, ParticleCloud, TimeGrid,
+                             empirical_from_states)
 from mfglab.model import (COOPERATIVE, builtin_game, gaussian_initial_law,
                           measure_args)
 from mfglab.model import DiffusionCoefficients, PopulationLq
@@ -44,7 +43,7 @@ def _scalar_setup(seed=0):
 
 def test_field_slope_tracks_riccati():
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     grid = sol.grid
     oracle = solve_lq_riccati(lq_from_game(spec), grid)
     worst = 0.0
@@ -58,7 +57,7 @@ def test_field_slope_tracks_riccati():
 def test_adjoint_z_tracks_riccati_times_sigma():
     # constant sigma = 1 here, so the regressed Z should hover near P(t)
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
     for k in (0, 10, 20):
         z_mean = float(sol.Z[k].mean())
@@ -68,19 +67,10 @@ def test_adjoint_z_tracks_riccati_times_sigma():
 
 def test_costs_match_lq_oracle():
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     est, se = optimal_cost(spec, 0, sol, flows)
     oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
     assert abs(est - oracle.costs[0]) <= max(0.05, 4.0 * se)
-
-
-def test_dispatcher_matches_mode_specific_solvers():
-    spec, flows = _scalar_setup()
-    a = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
-    b = solve_adjoint(spec, 0, flows, CFG, seed=0)
-    assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.Y, b.Y)
-    assert np.array_equal(a.controls, b.controls)
 
 
 def _planner_twin_of_scalar():
@@ -100,21 +90,12 @@ def _planner_twin_of_scalar():
 def test_mkv_reduces_bitwise_without_measure_terms():
     comp_spec, flows = _scalar_setup()
     coop_spec = _planner_twin_of_scalar()
-    a = solve_adjoint_competitive(comp_spec, 0, flows, CFG, seed=0)
-    b = solve_adjoint_mkv(coop_spec, 0, flows, CFG, seed=0)
+    a = solve_adjoint(comp_spec, 0, flows, CFG, seed=0)
+    b = solve_adjoint(coop_spec, 0, flows, CFG, seed=0)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.Y, b.Y)
     assert np.array_equal(a.Z, b.Z)
     assert np.array_equal(a.controls, b.controls)
-
-
-def test_mode_guards():
-    comp_spec, flows = _scalar_setup()
-    coop_spec = _planner_twin_of_scalar()
-    with pytest.raises(ValueError, match="competitive"):
-        solve_adjoint_mkv(comp_spec, 0, flows, CFG, seed=0)
-    with pytest.raises(ValueError, match="cooperative"):
-        solve_adjoint_competitive(coop_spec, 0, flows, CFG, seed=0)
 
 
 def test_picard_failure_reports_history():
@@ -122,7 +103,7 @@ def test_picard_failure_reports_history():
     cfg = SolverConfig(n_steps=25, n_paths=512, picard_tol=1e-16,
                        max_picard=2)
     with pytest.raises(PicardError) as err:
-        solve_adjoint_competitive(spec, 0, flows, cfg, seed=0)
+        solve_adjoint(spec, 0, flows, cfg, seed=0)
     assert len(err.value.history) == 2
     assert "stalled" in str(err.value)
 
@@ -153,9 +134,9 @@ def test_non_finite_field_change_stops_picard():
 
 def test_warm_start_converges_at_least_as_fast():
     spec, flows = _scalar_setup()
-    cold = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
-    warm = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0,
-                                     initial_field=cold.field)
+    cold = solve_adjoint(spec, 0, flows, CFG, seed=0)
+    warm = solve_adjoint(spec, 0, flows, CFG, seed=0,
+                         initial_field=cold.field)
     assert len(warm.picard_history) <= len(cold.picard_history)
 
 
@@ -163,13 +144,13 @@ def test_flow_mismatch_rejected():
     spec, _ = _scalar_setup()
     bad = uncontrolled_flows(spec, 10, 64, 0)
     with pytest.raises(ValueError, match="time grid"):
-        solve_adjoint_competitive(spec, 0, bad, CFG, seed=0)
+        solve_adjoint(spec, 0, bad, CFG, seed=0)
 
 
 def test_state_flow_shape():
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
-    flow = sol.state_flow()
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
+    flow = empirical_from_states(sol.grid, sol.X)
     assert len(flow.clouds) == CFG.n_steps + 1
     assert flow.clouds[0].points.shape == (CFG.n_paths, 1)
     assert np.array_equal(flow.clouds[0].points, sol.X[0])
@@ -177,7 +158,7 @@ def test_state_flow_shape():
 
 def test_sufficiency_passes_on_solution():
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     report = verify_sufficiency(spec, 0, sol, flows, n_deviations=6, seed=0)
     assert report.passed
     assert report.margins.shape == (6,)
@@ -186,9 +167,9 @@ def test_sufficiency_passes_on_solution():
 
 def test_sufficiency_requires_matching_seed():
     spec, flows = _scalar_setup()
-    sol = solve_adjoint_competitive(spec, 0, flows, CFG, seed=0)
+    sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     shifted = uncontrolled_flows(spec, CFG.n_steps, CFG.n_paths, 1)
-    sol_other = solve_adjoint_competitive(spec, 0, shifted, CFG, seed=1)
+    sol_other = solve_adjoint(spec, 0, shifted, CFG, seed=1)
     sol_other = sol_other.__class__(**{**sol_other.__dict__, "seed": 0})
     with pytest.raises(ValueError, match="seed"):
         verify_sufficiency(spec, 0, sol_other, shifted, n_deviations=2)

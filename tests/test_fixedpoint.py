@@ -9,7 +9,8 @@ from mfglab.fixedpoint import (
     uncontrolled_flows,
     write_history_csv,
 )
-from mfglab.measures import flow_distance, wasserstein2_1d
+from mfglab.measures import (empirical_from_states, flow_distance,
+                             wasserstein2_1d)
 from mfglab.model import builtin_game
 
 from conftest import cached_equilibrium, fp_config
@@ -41,9 +42,9 @@ def test_decoupled_game_converges_in_two_iterations():
     assert report.iterations <= 2
     single = builtin_game("lq-scalar")
     flows0 = uncontrolled_flows(single, 25, 1024, 0)
-    from mfglab.fbsde import solve_adjoint_competitive
-    sol = solve_adjoint_competitive(single, 0, flows0, SMALL.solver, seed=0)
-    lone = sol.state_flow()
+    from mfglab.fbsde import solve_adjoint
+    sol = solve_adjoint(single, 0, flows0, SMALL.solver, seed=0)
+    lone = empirical_from_states(sol.grid, sol.X)
     gaps = [
         wasserstein2_1d(report.flows[0].clouds[k], lone.clouds[k])
         for k in range(len(lone.clouds))
@@ -154,3 +155,19 @@ def test_config_validation():
 def test_config_needs_a_projection():
     with pytest.raises(ValueError, match="n_projections"):
         FixedPointConfig(n_projections=0)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (SolverConfig, "max_picard", 0),
+    (SolverConfig, "picard_tol", 0.0),
+    (SolverConfig, "picard_tol", float("nan")),
+    (FixedPointConfig, "max_iterations", 0),
+    (FixedPointConfig, "fp_tol", -1e-3),
+    (FixedPointConfig, "fp_tol", float("nan")),
+])
+def test_config_rejects_empty_budgets_and_unreachable_tolerances(make, field,
+                                                                value):
+    # an empty budget leaves no iterate to report, and no change is ever
+    # below a NaN or non-positive tolerance
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})
