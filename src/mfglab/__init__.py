@@ -34,9 +34,7 @@ from .measures import (
     empirical_from_states,
     flow_distance,
     flow_from_csv,
-    flow_from_npz,
     flow_to_csv,
-    flow_to_npz,
     resample,
     sliced_w2,
     truncate_phi_n,

@@ -108,10 +108,9 @@ class DecouplingField:
     u(t, x, law(X_t)) of the master-field style feedback.
     """
 
-    def __init__(self, grid, dim_x, dim_y, degree):
+    def __init__(self, grid, dim_x, degree):
         self.grid = grid
         self.dim_x = dim_x
-        self.dim_y = dim_y
         self.degree = degree
         self.coeffs = [None] * len(grid)
         self.masks = [None] * len(grid)
@@ -137,12 +136,8 @@ class DecouplingField:
 
 @dataclass
 class FbsdeSolution:
-    population: int
     grid: TimeGrid
-    n_paths: int
     X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
     controls: np.ndarray
     field: DecouplingField
     costs: np.ndarray  # per-path running plus terminal cost of the paths X
@@ -259,10 +254,10 @@ def _terminal_adjoint(spec, i, XK, mu, nus):
     return Y
 
 
-def _backward(spec, i, grid, X, dW, measures, degree, refit=None):
+def _backward(spec, i, grid, X, dW, measures, degree, refit):
     """Least-squares Monte Carlo backward pass along given forward paths
     and their per-knot measure arguments (mu, nus).
-    One factorization per knot serves the Y fit, the Z fit and, if given,
+    One factorization per knot serves the Y fit, the Z fit and
     refit(k, fit, Y[k]); knot K is factored only for the refit."""
     mkv = spec.populations[i].cooperation == COOPERATIVE
     K = grid.n_steps
@@ -270,8 +265,7 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit=None):
     Y = np.empty((K + 1, n, d))
     Z = np.empty((K, n, d, d))
     Y[K] = _terminal_adjoint(spec, i, X[K], *measures[K])
-    if refit is not None:
-        refit(K, KnotRegression(X[K], degree), Y[K])
+    refit(K, KnotRegression(X[K], degree), Y[K])
     for k in range(K - 1, -1, -1):
         t = grid.times[k]
         mu, nus = measures[k]
@@ -288,8 +282,7 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit=None):
                                         drv)
         Y[k] = yhat + grid.dt * drv
         Z[k] = zhat
-        if refit is not None:
-            refit(k, fit, Y[k])
+        refit(k, fit, Y[k])
     return Y, Z
 
 
@@ -312,9 +305,8 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
     _check_flows(spec, flows, grid)
     K = grid.n_steps
     d = pop.state_dim
-    n = cfg.n_paths
 
-    xi, dW = solver_draws(spec, i, n, grid, seed)
+    xi, dW = solver_draws(spec, i, cfg.n_paths, grid, seed)
 
     muT, nusT = measure_args(spec, i, [flow.clouds[K] for flow in flows])
 
@@ -341,7 +333,7 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
             spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, evaluate)],
             flows, live=mkv)
         old_vals.append(prev_eval(K, X[K]))
-        new_field = DecouplingField(grid, d, d, cfg.degree)
+        new_field = DecouplingField(grid, d, cfg.degree)
         gaps = [0.0]
 
         def refit(k, fit, Yk):
@@ -370,19 +362,14 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
             history,
         )
 
-    # one consistent pass with the converged field, so the stored paths,
-    # controls, adjoint values and costs belong together
+    # one forward pass under the converged field, so the stored paths,
+    # controls and costs belong together
     (X, controls, measures), = euler_scheme(
         spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, field.eval)],
         flows, live=mkv, keep_controls=True)
-    Y, Z = _backward(spec, i, grid, X, dW, measures, cfg.degree)
     return FbsdeSolution(
-        population=i,
         grid=grid,
-        n_paths=n,
         X=X,
-        Y=Y,
-        Z=Z,
         controls=controls,
         field=field,
         costs=_path_costs(spec, i, grid, X, controls, measures),
@@ -416,9 +403,9 @@ def _path_costs(spec, i, grid, X, controls, measures):
     return total
 
 
-def optimal_cost(spec, i, solution, flows):
+def optimal_cost(solution):
     """Monte Carlo cost of a solved population, (estimate, standard error),
-    from the per-path costs that its solve priced against flows."""
+    from the per-path costs that its solve priced."""
     costs = solution.costs
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
 
@@ -454,13 +441,13 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
     per-path cost its solve priced.
     """
     pop = spec.populations[i]
-    cfg_like_n = solution.n_paths
+    n = solution.X.shape[1]
     grid = solution.grid
     lam = spec.constants.convexity_lambda
     K = grid.n_steps
     k_dim = pop.action_set.dimension
 
-    xi, dW = solver_draws(spec, i, cfg_like_n, grid, solution.seed)
+    xi, dW = solver_draws(spec, i, n, grid, solution.seed)
     if not np.array_equal(xi, solution.X[0]):
         raise ValueError("solution was not produced from this seed")
 
@@ -480,13 +467,13 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
                             live=pop.cooperation == COOPERATIVE,
                             keep_controls=True)
         dev_costs = _path_costs(spec, i, grid, *dev)
-        gap2 = np.zeros(cfg_like_n)
+        gap2 = np.zeros(n)
         for k in range(K):
             diff = dev.controls[k] - solution.controls[k]
             gap2 += w[k] * np.sum(diff**2, axis=1)
         per_path = dev_costs - solution.costs - lam * gap2
         margins[j] = float(per_path.mean())
-        ses[j] = float(per_path.std(ddof=1) / np.sqrt(cfg_like_n))
+        ses[j] = float(per_path.std(ddof=1) / np.sqrt(n))
     return SufficiencyReport(
         population=i,
         shifts=shifts,

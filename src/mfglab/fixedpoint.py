@@ -225,7 +225,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
             for i in range(m)
         )
         delta = max(deltas)
-        costs = [optimal_cost(spec, i, solutions[i], frozen) for i in range(m)]
+        costs = [optimal_cost(sol) for sol in solutions]
         history.append(
             HistoryRow(
                 iteration=iteration,

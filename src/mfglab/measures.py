@@ -325,23 +325,6 @@ def flow_from_csv(path):
     return MeasureFlow(grid, clouds)
 
 
-def flow_to_npz(flow, path):
-    """Binary columnar dump of a flow (requires equal counts per knot)."""
-    counts = {c.n for c in flow.clouds}
-    if len(counts) != 1:
-        raise ValueError("npz dump needs equal particle counts at every knot")
-    stacked = np.stack([c.points for c in flow.clouds])
-    np.savez(path, times=np.asarray(flow.grid.times), points=stacked)
-
-
-def flow_from_npz(path):
-    with np.load(path) as data:
-        times = data["times"]
-        points = data["points"]
-    grid = TimeGrid(times[-1], len(times) - 1)
-    return MeasureFlow(grid, [ParticleCloud(points[k]) for k in range(len(times))])
-
-
 def _require_dim(a, b, d):
     if a.dim != d or b.dim != d:
         raise ValueError("expected dimension %d clouds" % d)

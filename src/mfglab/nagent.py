@@ -3,8 +3,10 @@ rates, and approximate-Nash gaps.
 
 Every agent owns an independent randomness bundle (initial draw plus
 Brownian increments) keyed by a stable tag, and systems always run in tag
-order, so simulations are nested across population sizes: the N-agent
-i.i.d. system is a prefix of the larger one. The interacting system
+order, so simulations are nested across population sizes: the bundles
+of the N-agent i.i.d. system are a bitwise prefix of the larger one's,
+and its paths and costs match that prefix up to the rounding of the
+field evaluation, which depends on the batch size. The interacting system
 feeds live empirical clouds to the coefficients while controls always
 read the frozen equilibrium flows and decoupling fields.
 """
@@ -177,11 +179,6 @@ class AgentSystem:
     paths: list
     costs: list
 
-    def cost_estimate(self, i):
-        """Population-average cost with its standard error."""
-        c = self.costs[i]
-        return float(c.mean()), float(c.std(ddof=1) / np.sqrt(len(c)))
-
 
 def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
                 deviating=None, open_loop_controls=None, bundles=None):
@@ -251,8 +248,9 @@ def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0):
     """Independent copies of the mean-field optimal state, one per agent.
 
     Both coefficients and controls read the frozen equilibrium flows, so
-    agents never interact and the N-agent system is a prefix of any
-    larger one with the same seed.
+    agents never interact. With the same seed, the N-agent system draws a
+    bitwise prefix of any larger system's bundles; its paths and costs
+    match that prefix up to the rounding of the field evaluation.
     """
     _require_converged(equilibrium)
     sizes = _normalize_sizes(spec, N)

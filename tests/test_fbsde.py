@@ -41,6 +41,27 @@ def _scalar_setup(seed=0):
     return spec, flows
 
 
+def _final_measures(spec, i, sol, flows):
+    """Per-knot (mu, nus) of a solve's final pass: the frozen flows, with
+    the live cloud of sol.X[k] in a cooperative population's own slot."""
+    measures = []
+    for k, Xk in enumerate(sol.X):
+        clouds = [flow.clouds[k] for flow in flows]
+        if spec.populations[i].cooperation == COOPERATIVE:
+            clouds[i] = ParticleCloud(Xk)
+        measures.append(measure_args(spec, i, clouds))
+    return measures
+
+
+def _adjoint_values(spec, i, sol, flows):
+    """Y (K + 1, n, d) and Z (K, n, d, d) of one backward pass along a
+    solve's stored paths, on the Brownian increments that solve drew."""
+    _, dW = solver_draws(spec, i, sol.X.shape[1], sol.grid, sol.seed)
+    return _backward(spec, i, sol.grid, sol.X, dW,
+                     _final_measures(spec, i, sol, flows), sol.field.degree,
+                     lambda k, fit, Yk: None)
+
+
 def test_field_slope_tracks_riccati():
     spec, flows = _scalar_setup()
     sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
@@ -59,8 +80,9 @@ def test_adjoint_z_tracks_riccati_times_sigma():
     spec, flows = _scalar_setup()
     sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
     oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
+    _, Z = _adjoint_values(spec, 0, sol, flows)
     for k in (0, 10, 20):
-        z_mean = float(sol.Z[k].mean())
+        z_mean = float(Z[k].mean())
         P = oracle.P_at(0, sol.grid.times[k])[0, 0]
         assert abs(z_mean - P) <= 0.15
 
@@ -68,7 +90,7 @@ def test_adjoint_z_tracks_riccati_times_sigma():
 def test_costs_match_lq_oracle():
     spec, flows = _scalar_setup()
     sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
-    est, se = optimal_cost(spec, 0, sol, flows)
+    est, se = optimal_cost(sol)
     oracle = solve_lq_riccati(lq_from_game(spec), sol.grid)
     assert abs(est - oracle.costs[0]) <= max(0.05, 4.0 * se)
 
@@ -93,8 +115,9 @@ def test_mkv_reduces_bitwise_without_measure_terms():
     a = solve_adjoint(comp_spec, 0, flows, CFG, seed=0)
     b = solve_adjoint(coop_spec, 0, flows, CFG, seed=0)
     assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.Y, b.Y)
-    assert np.array_equal(a.Z, b.Z)
+    for ya, yb in zip(_adjoint_values(comp_spec, 0, a, flows),
+                      _adjoint_values(coop_spec, 0, b, flows)):
+        assert np.array_equal(ya, yb)
     assert np.array_equal(a.controls, b.controls)
 
 
@@ -237,15 +260,10 @@ def test_solution_costs_price_the_final_pass():
     flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
     for i in (0, 1):
         sol = solve_adjoint(spec, i, flows, cfg, seed=0)
-        measures = []
-        for k, Xk in enumerate(sol.X):
-            clouds = [flow.clouds[k] for flow in flows]
-            if spec.populations[i].cooperation == COOPERATIVE:
-                clouds[i] = ParticleCloud(Xk)
-            measures.append(measure_args(spec, i, clouds))
-        want = _path_costs(spec, i, sol.grid, sol.X, sol.controls, measures)
+        want = _path_costs(spec, i, sol.grid, sol.X, sol.controls,
+                           _final_measures(spec, i, sol, flows))
         assert np.array_equal(sol.costs, want)
-        assert optimal_cost(spec, i, sol, flows) == (
+        assert optimal_cost(sol) == (
             float(want.mean()), float(want.std(ddof=1) / np.sqrt(256)))
 
 
@@ -289,7 +307,8 @@ def test_backward_knot_is_the_context_hamiltonian():
     (X, _, measures), = euler_scheme(
         spec, grid, (0,), [xi], [dW],
         [lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1], live=True)
-    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree)
+    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree,
+                     lambda k, fit, Yk: None)
     _, yhat = KnotRegression(X[k], degree).solve(Y[k + 1])
     t, (mu, nus) = grid.times[k], measures[k]
     points = [HamiltonianContext(spec=spec, population=0, t=t, x=X[k][p],
@@ -333,8 +352,8 @@ def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
     sweeps = len(sol.picard_history)
     assert sweeps >= 2
     # every Picard sweep factors knots 0..K once (knot K for the refit
-    # only); the final consistent pass factors knots 0..K-1
-    assert calls["svd"] == sweeps * (cfg.n_steps + 1) + cfg.n_steps
+    # only); the final forward pass factors none
+    assert calls["svd"] == sweeps * (cfg.n_steps + 1)
     assert calls["lstsq"] == 0
     assert calls["solve"] == 0
 

@@ -15,9 +15,7 @@ from mfglab.measures import (
     empirical_from_states,
     flow_distance,
     flow_from_csv,
-    flow_from_npz,
     flow_to_csv,
-    flow_to_npz,
     resample,
     sliced_w2,
     sorted_slices,
@@ -315,16 +313,6 @@ def test_flow_csv_bytes_match_csv_writer(tmp_path):
         assert back.grid == grid
         for c1, c2 in zip(flow.clouds, back.clouds):
             assert c1.points.tobytes() == c2.points.tobytes()
-
-
-def test_flow_npz_round_trip(tmp_path):
-    flow = _random_flow(9, d=3)
-    path = tmp_path / "flow.npz"
-    flow_to_npz(flow, str(path))
-    back = flow_from_npz(str(path))
-    assert back.grid == flow.grid
-    for c1, c2 in zip(flow.clouds, back.clouds):
-        assert np.array_equal(c1.points, c2.points)
 
 
 def test_empirical_from_states():

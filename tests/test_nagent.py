@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfglab import hamiltonian, nagent
@@ -60,6 +60,22 @@ def test_iid_copies_are_prefix_stable():
     assert np.array_equal(small.costs[0], large.costs[0][:16])
 
 
+@settings(max_examples=30, deadline=None)
+@example(small=22, extra=1, seed=16)
+@given(small=st.integers(1, 40), extra=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_iid_copies_match_any_prefix_up_to_rounding(small, extra, seed):
+    # the bundles are a bitwise prefix, but the field is evaluated on the
+    # whole batch, and BLAS may round a row differently for another size
+    spec = builtin_game("lq-bimodal")
+    eq = cached_equilibrium("lq-bimodal", n_steps=10, n_paths=512)
+    a = simulate_iid_copies(spec, eq, small, seed=seed)
+    b = simulate_iid_copies(spec, eq, small + extra, seed=seed)
+    for got, want in ((a.paths[0], b.paths[0][:, :small]),
+                      (a.costs[0], b.costs[0][:small])):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
 def test_interacting_equals_iid_when_dynamics_ignore_the_measure():
     # the decoupled game reads no empirical statistics, so coupling the
     # agents changes nothing
@@ -68,7 +84,7 @@ def test_interacting_equals_iid_when_dynamics_ignore_the_measure():
     a = simulate_iid_copies(spec, eq, 24, seed=1)
     b = simulate_interacting(spec, eq, 24, seed=1)
     assert np.array_equal(a.paths[0], b.paths[0])
-    assert a.cost_estimate(0) == b.cost_estimate(0)
+    assert np.array_equal(a.costs[0], b.costs[0])
 
 
 def test_empirical_flow_matches_states():
