@@ -13,8 +13,6 @@ continuity, and growth against the anchor action.
 import numpy as np
 
 from mfglab.hamiltonian import (
-    HamiltonianContext,
-    minimize,
     minimize_controls,
     reduced_hamiltonian,
     vi_residual,
@@ -25,17 +23,18 @@ from mfglab.rng import substream
 
 rng = substream(0, "demo-minimizer")
 
-# quadratic case: the minimizer is -R^{-1} B^T y, nothing iterative
+# quadratic case: the minimizer is -R^{-1} B^T y, nothing iterative; one
+# point is a one-row batch
 spec = builtin_game("lq-scalar")
 clouds = [ParticleCloud(rng.standard_normal((32, 1)))]
 mu, nus = measure_args(spec, 0, clouds)
-y = np.array([0.8])
-ctx = HamiltonianContext(spec=spec, population=0, t=0.3,
-                         x=np.array([0.2]), mu=mu, nus=nus, y=y)
-alpha = minimize(ctx)
+x = np.array([[0.2]])
+y = np.array([[0.8]])
+alpha = minimize_controls(spec, 0, 0.3, x, mu, nus, y)
 print("quadratic model: minimizer %.6f, closed form %.6f"
-      % (alpha[0], -y[0]))
-print("VI residual at the minimizer: %.2e" % vi_residual(ctx, alpha))
+      % (alpha[0, 0], -y[0, 0]))
+print("VI residual at the minimizer: %.2e"
+      % vi_residual(spec, 0, 0.3, x[0], mu, nus, y[0], alpha[0]))
 
 # box-constrained case: cosh running cost on actions in [-1, 1]
 box = builtin_game("nonlq-box")
@@ -43,13 +42,14 @@ bclouds = [ParticleCloud(rng.standard_normal((32, 1)))]
 bmu, bnus = measure_args(box, 0, bclouds)
 print("\nbox-constrained model, sweeping the adjoint value:")
 print("   y      minimizer   H_r at minimizer   VI residual")
+bx = np.array([[0.4]])
 for yv in (-3.0, -1.0, 0.0, 1.0, 3.0):
-    bctx = HamiltonianContext(spec=box, population=0, t=0.3,
-                              x=np.array([0.4]), mu=bmu, nus=bnus,
-                              y=np.array([yv]))
-    a = minimize(bctx)
+    by = np.array([[yv]])
+    a = minimize_controls(box, 0, 0.3, bx, bmu, bnus, by)
+    h = reduced_hamiltonian(box, 0, 0.3, bx, bmu, bnus, by, a)
     print("%5.1f  %10.6f  %16.6f  %12.2e"
-          % (yv, a[0], reduced_hamiltonian(bctx, a), vi_residual(bctx, a)))
+          % (yv, a[0, 0], h[0],
+             vi_residual(box, 0, 0.3, bx[0], bmu, bnus, by[0], a[0])))
 
 # the minimizer map is Lipschitz in (x, y) with constant driven by the
 # model's convexity; check it on a random batch

@@ -42,11 +42,8 @@ from .measures import (
     wasserstein2_1d_any,
 )
 from .hamiltonian import (
-    HamiltonianContext,
     MinimizeError,
-    dx_hamiltonian,
-    hamiltonian_value,
-    minimize,
+    dx_hamiltonian_batch,
     minimize_controls,
     reduced_hamiltonian,
     vi_residual,

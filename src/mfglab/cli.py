@@ -247,7 +247,7 @@ def _deviations_from(block, path):
     return out
 
 
-def _experiment_from(block, command):
+def _experiment_from(block, command, n_populations):
     path = "experiment"
     kind = block.get("kind", command)
     if kind != command:
@@ -273,9 +273,10 @@ def _experiment_from(block, command):
         out["repetitions"] = _pick_int(block, path, "repetitions", 8, low=1)
         out["mode"] = _pick_choice(block, path, "mode", MODE_COMPETITIVE, ALL_MODES)
         pop = block.get("population", None)
-        if pop is not None and (isinstance(pop, bool) or not isinstance(pop, int)):
-            raise ConfigError("%s.population: expected an integer population index"
-                              % path)
+        if pop is not None and (isinstance(pop, bool) or not isinstance(pop, int)
+                                or not 0 <= pop < n_populations):
+            raise ConfigError("%s.population: expected a population index in "
+                              "[0, %d), got %r" % (path, n_populations, pop))
         out["population"] = pop
         out["deviations"] = _deviations_from(block, path)
         out["open_loop"] = _pick_bool(block, path, "open_loop", False)
@@ -350,7 +351,8 @@ def load_config(path, command, seed_override=None, out_override=None,
         fixed_point = dataclasses.replace(fixed_point, fp_tol=_check_float(
             fp_tol_override, "--fp-tol", **_FIELD_CHECKS["fp_tol"][1]))
     experiment = _experiment_from(
-        _as_map(raw.get("experiment"), "experiment"), command)
+        _as_map(raw.get("experiment"), "experiment"), command,
+        game.n_populations)
     return {
         "model_ref": model_ref,
         "game": game,

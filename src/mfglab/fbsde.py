@@ -256,34 +256,30 @@ def _terminal_adjoint(spec, i, XK, mu, nus):
 
 def _backward(spec, i, grid, X, dW, measures, degree, refit):
     """Least-squares Monte Carlo backward pass along given forward paths
-    and their per-knot measure arguments (mu, nus).
-    One factorization per knot serves the Y fit, the Z fit and
-    refit(k, fit, Y[k]); knot K is factored only for the refit."""
+    and their per-knot measure arguments (mu, nus), handing each knot's
+    adjoint value to refit(k, fit, Y_k), knot K first.
+    One factorization per knot serves the Y fit, the Z fit and the refit;
+    knot K is factored only for the refit. Only the latest Y is kept."""
     mkv = spec.populations[i].cooperation == COOPERATIVE
     K = grid.n_steps
     n, d = X[0].shape
-    Y = np.empty((K + 1, n, d))
-    Z = np.empty((K, n, d, d))
-    Y[K] = _terminal_adjoint(spec, i, X[K], *measures[K])
-    refit(K, KnotRegression(X[K], degree), Y[K])
+    Y = _terminal_adjoint(spec, i, X[K], *measures[K])
+    refit(K, KnotRegression(X[K], degree), Y)
     for k in range(K - 1, -1, -1):
         t = grid.times[k]
         mu, nus = measures[k]
         fit = KnotRegression(X[k], degree)
-        _, yhat = fit.solve(Y[k + 1])
-        ztarget = np.einsum("nj,nl->njl", Y[k + 1], dW[k]).reshape(n, d * d)
-        _, zhat = fit.solve(ztarget / grid.dt)
-        zhat = zhat.reshape(n, d, d)
+        _, yhat = fit.solve(Y)
+        ztarget = np.einsum("nj,nl->njl", Y, dW[k]).reshape(n, d * d)
+        zhat = fit.solve(ztarget / grid.dt)[1].reshape(n, d, d)
         alpha = minimize_controls(spec, i, t, X[k], mu, nus, yhat)
         drv = dx_hamiltonian_batch(spec, i, t, X[k], mu, nus, yhat, zhat, alpha)
         if mkv:
             drv = dmu_hamiltonian_batch(spec, i, t, X[k], mu, nus, alpha, X[k],
                                         yhat.mean(axis=0), zhat.mean(axis=0),
                                         drv)
-        Y[k] = yhat + grid.dt * drv
-        Z[k] = zhat
-        refit(k, fit, Y[k])
-    return Y, Z
+        Y = yhat + grid.dt * drv
+        refit(k, fit, Y)
 
 
 def _rms_gap(a, b):

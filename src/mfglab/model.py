@@ -19,6 +19,7 @@ Batch conventions used by every callable field:
     f(t, x, mu, nus, alpha)   -> (n,)        with x (n, d), alpha (n, k)
     df_dx, df_dalpha          -> (n, d), (n, k)
     g(x, mu, nus), dg_dx      -> (n,), (n, d)
+    quad_linear(t, x, mu, nus), quad_const -> (n, k), (n,)
     df_dmu(t, x, mu, nus, alpha, v) -> (n, nv, d) or (n, 1, d) when constant in v
     dg_dmu(x, mu, nus, v)           -> (n, nv, d) or (n, 1, d)
     initial_law(rng, n)       -> (n, d)

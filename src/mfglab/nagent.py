@@ -517,6 +517,9 @@ class NashGapReport:
 
 
 def _validate_mode(spec, mode, population):
+    if population is not None and not 0 <= population < spec.n_populations:
+        raise ValueError("population index %d is outside [0, %d)"
+                         % (population, spec.n_populations))
     comp = [i for i, p in enumerate(spec.populations)
             if p.cooperation == COMPETITIVE]
     coop = [i for i, p in enumerate(spec.populations)

@@ -102,8 +102,8 @@ def _call(label, i, fn, *args):
 
 def _misshapen(spec, i, rng, t0, clouds0):
     """Evaluate population i's coefficients once at t0 and the given clouds,
-    on three states and feasible actions drawn from rng; returns
-    (name, returned shape, expected shape) for each misshapen output.
+    on three states and feasible actions drawn from rng; returns (name,
+    returned shape, accepted shapes as text) per misshapen output.
 
     Raises CoefficientError naming the coefficient when one fails.
     """
@@ -114,24 +114,30 @@ def _misshapen(spec, i, rng, t0, clouds0):
     mu0, nus0 = measure_args(spec, i, clouds0)
     x0 = rng.standard_normal((3, d))
     a0 = _feasible(pop, rng, 3)
-    shapes = [
-        ("b0", _call("b0", i, drift.b0, t0, mu0, nus0), (d,)),
-        ("b1", _call("b1", i, drift.b1, t0, mu0, nus0), (d, d)),
-        ("b2", _call("b2", i, drift.b2, t0, mu0, nus0), (d, k)),
-        ("s0", _call("s0", i, diff.s0, t0, mu0, nus0), (d, d)),
-        ("f", _call("f", i, cost.f, t0, x0, mu0, nus0, a0), (3,)),
-        ("df_dx", _call("df_dx", i, cost.df_dx, t0, x0, mu0, nus0, a0), (3, d)),
-        ("df_dalpha", _call("df_dalpha", i, cost.df_dalpha, t0, x0, mu0, nus0, a0), (3, k)),
-        ("g", _call("g", i, cost.g, x0, mu0, nus0), (3,)),
-        ("dg_dx", _call("dg_dx", i, cost.dg_dx, x0, mu0, nus0), (3, d)),
+    # (name, callable or None, arguments, accepted shapes); the measure
+    # derivatives take x0 as direction points and may be constant in them
+    coefficients = [
+        ("b0", drift.b0, (t0, mu0, nus0), [(d,)]),
+        ("b1", drift.b1, (t0, mu0, nus0), [(d, d)]),
+        ("b2", drift.b2, (t0, mu0, nus0), [(d, k)]),
+        ("s0", diff.s0, (t0, mu0, nus0), [(d, d)]),
+        ("f", cost.f, (t0, x0, mu0, nus0, a0), [(3,)]),
+        ("df_dx", cost.df_dx, (t0, x0, mu0, nus0, a0), [(3, d)]),
+        ("df_dalpha", cost.df_dalpha, (t0, x0, mu0, nus0, a0), [(3, k)]),
+        ("g", cost.g, (x0, mu0, nus0), [(3,)]),
+        ("dg_dx", cost.dg_dx, (x0, mu0, nus0), [(3, d)]),
+        ("s1", diff.s1, (t0, mu0, nus0), [(d, d, d)]),
+        ("b1_bar", drift.b1_bar, (t0, nus0), [(d, d)]),
+        ("s1_bar", diff.s1_bar, (t0, nus0), [(d, d, d)]),
+        ("quad_linear", cost.quad_linear, (t0, x0, mu0, nus0), [(3, k)]),
+        ("quad_const", cost.quad_const, (t0, x0, mu0, nus0), [(3,)]),
+        ("df_dmu", cost.df_dmu, (t0, x0, mu0, nus0, a0, x0), [(3, 3, d), (3, 1, d)]),
+        ("dg_dmu", cost.dg_dmu, (x0, mu0, nus0, x0), [(3, 3, d), (3, 1, d)]),
     ]
-    if diff.s1 is not None:
-        shapes.append(("s1", _call("s1", i, diff.s1, t0, mu0, nus0), (d, d, d)))
-    if drift.b1_bar is not None:
-        shapes.append(("b1_bar", _call("b1_bar", i, drift.b1_bar, t0, nus0), (d, d)))
-    if diff.s1_bar is not None:
-        shapes.append(("s1_bar", _call("s1_bar", i, diff.s1_bar, t0, nus0), (d, d, d)))
-    return [(n, v.shape, s) for n, v, s in shapes if v.shape != s]
+    shapes = [(name, _call(name, i, fn, *args).shape, accepted)
+              for name, fn, args, accepted in coefficients if fn is not None]
+    return [(name, got, " or ".join(map(str, accepted)))
+            for name, got, accepted in shapes if got not in accepted]
 
 
 def check_coefficient_shapes(spec):

@@ -30,7 +30,7 @@ from mfglab.fixedpoint import (
     truncated_solve,
     uncontrolled_flows,
 )
-from mfglab.hamiltonian import HamiltonianContext, minimize_controls, vi_residual
+from mfglab.hamiltonian import minimize_controls, vi_residual
 from mfglab.measures import (
     MeasureFlow,
     ParticleCloud,
@@ -160,9 +160,7 @@ def test_acceptance_04_minimizer_bounds():
         mu, nus, X, Y = _vi_contexts(spec, i, rng, n)
         A = minimize_controls(spec, i, t, X, mu, nus, Y)
         for r in range(n):
-            ctx = HamiltonianContext(spec=spec, population=i, t=t, x=X[r],
-                                     mu=mu, nus=nus, y=Y[r])
-            res = vi_residual(ctx, A[r], seed=7)
+            res = vi_residual(spec, i, t, X[r], mu, nus, Y[r], A[r], seed=7)
             worst_vi = max(
                 worst_vi, res / (1e-8 * (1.0 + np.linalg.norm(A[r]))))
         b2 = np.asarray(pop.drift.b2(t, mu, nus))

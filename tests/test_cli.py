@@ -1,13 +1,18 @@
 import glob
 import json
 import os
+import runpy
 
 import pytest
 import yaml
 
 from mfglab.cli import load_config, main
+from mfglab.model import builtin_game, builtin_library
+from mfglab.validation import check_coefficient_shapes
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                      "models")
 
 
 def _write(path, text):
@@ -184,6 +189,71 @@ def test_validate_reports_misshapen_coefficient(tmp_path):
     assert check["detail"] == "bad output shapes: b0"
 
 
+_BAD_DF_DMU_MODEL = """
+import dataclasses
+
+from mfglab import (COOPERATIVE, GameSpec, ModelConstants, PopulationLq,
+                    gaussian_initial_law, population_from_lq)
+
+
+def make_game():
+    lq = PopulationLq(A=[[-0.2]], A_bar=[[0.1]], B=[[1.0]], sigma=[[0.5]],
+                      R=[[1.0]], W=[[1.0]], Wg=[[0.5]], S=[[0.3]])
+    pop = population_from_lq(lq, COOPERATIVE, gaussian_initial_law([1.0], 0.5),
+                             None, None)
+    # df_dmu must return (n, nv, d) or (n, 1, d); this one drops the middle axis
+    df_dmu = pop.cost.df_dmu
+    cost = dataclasses.replace(
+        pop.cost,
+        df_dmu=lambda t, x, mu, nus, alpha, v: df_dmu(t, x, mu, nus, alpha,
+                                                       v)[:, 0, :])
+    return GameSpec(populations=(dataclasses.replace(pop, cost=cost),),
+                    horizon=1.0, constants=ModelConstants(1.0, 0.5, 1.0),
+                    name="bad-df-dmu")
+"""
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_EXPERIMENTS))
+def test_misshapen_measure_derivative_stops_run_before_output(tmp_path, capsys,
+                                                             command):
+    model = _write(tmp_path / "bad_df_dmu.py", _BAD_DF_DMU_MODEL)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n"
+                 "solver:\n  n_steps: 10\n  n_paths: 256\n"
+                 "experiment:\n  kind: %s\n%s"
+                 % (model, out, command, _SMALL_EXPERIMENTS[command]))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert ("df_dmu of population 0 returned shape (3, 1), expected "
+            "(3, 3, 1) or (3, 1, 1)") in err
+    assert not out.exists()
+
+
+def test_validate_reports_misshapen_measure_derivative(tmp_path):
+    model = _write(tmp_path / "bad_df_dmu.py", _BAD_DF_DMU_MODEL)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "v.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n"
+                 "experiment:\n  kind: validate\n  n_samples: 20\n"
+                 % (model, out))
+    assert main(["validate", "--config", cfg]) == 1
+    report = json.loads((out / "report.json").read_text())
+    check = report["checks"][0]
+    assert check["name"] == "coefficient-evaluation"
+    assert check["passed"] is False
+    assert check["detail"] == "bad output shapes: df_dmu"
+
+
+@pytest.mark.parametrize("model", sorted(builtin_library()) + ["lq2d_mixed.py"])
+def test_shipped_models_pass_the_shape_check(model):
+    if model.endswith(".py"):
+        spec = runpy.run_path(os.path.join(MODELS, model))["make_game"]()
+    else:
+        spec = builtin_game(model)
+    check_coefficient_shapes(spec)
+
+
 def test_chaos_requires_three_distinct_sizes(tmp_path, capsys):
     cfg = _write(tmp_path / "c.yaml", _base_config(
         tmp_path / "out",
@@ -200,6 +270,20 @@ def test_nash_mode_precondition_exit_code(tmp_path, capsys):
         "  sizes: [6, 8, 10]\n  repetitions: 2\n"))
     assert main(["nash", "--config", cfg]) == 1
     assert "mode precondition failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("population", [-1, 2, 7])
+def test_nash_population_out_of_range_rejected(tmp_path, capsys, population):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: lq-2pop-competitive\noutput_dir: %s\n"
+                 "experiment:\n  kind: nash\n  population: %d\n"
+                 % (out, population))
+    assert main(["nash", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment.population: ")
+    assert "[0, 2)" in err
+    assert not out.exists()
 
 
 def test_deviation_value_rules(tmp_path, capsys):

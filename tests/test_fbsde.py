@@ -21,8 +21,8 @@ from mfglab.fbsde import (
     verify_sufficiency,
 )
 from mfglab.fixedpoint import uncontrolled_flows
-from mfglab.hamiltonian import (HamiltonianContext, dmu_hamiltonian,
-                                dx_hamiltonian, minimize)
+from mfglab.hamiltonian import (dmu_hamiltonian_batch, dx_hamiltonian_batch,
+                                minimize_controls)
 from mfglab.measures import (MeasureFlow, ParticleCloud, TimeGrid,
                              empirical_from_states)
 from mfglab.model import (COOPERATIVE, builtin_game, gaussian_initial_law,
@@ -53,13 +53,32 @@ def _final_measures(spec, i, sol, flows):
     return measures
 
 
+def _backward_values(spec, i, grid, X, dW, measures, degree):
+    """Y (K + 1, n, d) and Z (K, n, d, d) of one backward pass along paths X:
+    Y as _backward hands it to the refit, and Z[k] refitted from Y[k + 1]
+    on knot k's factorization as _backward fits it."""
+    K, n, d = dW.shape
+    Y = np.empty((K + 1, n, d))
+    Z = np.empty((K, n, d, d))
+
+    def keep(k, fit, Yk):
+        Y[k] = Yk
+        if k < K:
+            ztarget = np.einsum("nj,nl->njl", Y[k + 1], dW[k])
+            Z[k] = fit.solve(ztarget.reshape(n, d * d) / grid.dt)[1].reshape(
+                n, d, d)
+
+    _backward(spec, i, grid, X, dW, measures, degree, keep)
+    return Y, Z
+
+
 def _adjoint_values(spec, i, sol, flows):
-    """Y (K + 1, n, d) and Z (K, n, d, d) of one backward pass along a
-    solve's stored paths, on the Brownian increments that solve drew."""
+    """Y and Z of one backward pass along a solve's stored paths, on the
+    Brownian increments that solve drew."""
     _, dW = solver_draws(spec, i, sol.X.shape[1], sol.grid, sol.seed)
-    return _backward(spec, i, sol.grid, sol.X, dW,
-                     _final_measures(spec, i, sol, flows), sol.field.degree,
-                     lambda k, fit, Yk: None)
+    return _backward_values(spec, i, sol.grid, sol.X, dW,
+                            _final_measures(spec, i, sol, flows),
+                            sol.field.degree)
 
 
 def test_field_slope_tracks_riccati():
@@ -299,7 +318,7 @@ def test_euler_step_with_state_and_mean_linear_diffusion():
 
 def test_backward_knot_is_the_context_hamiltonian():
     # one backward knot: Y = yhat + dt (dx H + dmu H), with both gradients
-    # taken point by point through the context API
+    # taken point by point through one-row batches
     spec, lq, s1, s1_bar = _diffusive_planner()
     grid = TimeGrid(spec.horizon, 2)
     n, degree, k = 64, 2, 0
@@ -307,20 +326,19 @@ def test_backward_knot_is_the_context_hamiltonian():
     (X, _, measures), = euler_scheme(
         spec, grid, (0,), [xi], [dW],
         [lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1], live=True)
-    Y, Z = _backward(spec, 0, grid, X, dW, measures, degree,
-                     lambda k, fit, Yk: None)
+    Y, Z = _backward_values(spec, 0, grid, X, dW, measures, degree)
     _, yhat = KnotRegression(X[k], degree).solve(Y[k + 1])
     t, (mu, nus) = grid.times[k], measures[k]
-    points = [HamiltonianContext(spec=spec, population=0, t=t, x=X[k][p],
-                                 mu=mu, nus=nus, y=yhat[p], z=Z[k][p])
-              for p in range(n)]
-    alpha = np.array([minimize(ctx) for ctx in points])
-    copies = HamiltonianContext(spec=spec, population=0, t=t, x=X[k], mu=mu,
-                                nus=nus, y=yhat)
+    rows = [slice(p, p + 1) for p in range(n)]
+    alpha = np.concatenate([minimize_controls(spec, 0, t, X[k][r], mu, nus,
+                                              yhat[r]) for r in rows])
     mean_y, mean_z = yhat.mean(axis=0), Z[k].mean(axis=0)
-    dx = np.array([dx_hamiltonian(ctx, a) for ctx, a in zip(points, alpha)])
-    dmu = np.array([dmu_hamiltonian(copies, alpha, X[k][p], mean_y, mean_z)
-                    for p in range(n)])
+    dx = np.concatenate([
+        dx_hamiltonian_batch(spec, 0, t, X[k][r], mu, nus, yhat[r], Z[k][r],
+                             alpha[r]) for r in rows])
+    dmu = np.concatenate([
+        dmu_hamiltonian_batch(spec, 0, t, X[k], mu, nus, alpha, X[k][r],
+                              mean_y, mean_z, np.zeros((1, 2))) for r in rows])
     np.testing.assert_allclose(Y[k], yhat + grid.dt * (dx + dmu), rtol=1e-12)
     # the measure gradient holds the own-mean drift and diffusion terms and
     # the copy average of df_dmu
@@ -329,6 +347,36 @@ def test_backward_knot_is_the_context_hamiltonian():
             + df_dmu.mean(axis=0))
     np.testing.assert_allclose(dmu, np.broadcast_to(want, dmu.shape),
                                rtol=1e-12)
+
+
+def test_dx_hamiltonian_is_the_state_gradient_of_the_full_hamiltonian():
+    # the s1 . Z term of the state gradient included: a central difference
+    # in x of b.y + tr(sigma(x)' z) + f, written out from the model data
+    spec, lq, s1, s1_bar = _diffusive_planner()
+    f = spec.populations[0].cost.f
+    rng = np.random.default_rng(5)
+    n, t = 8, 0.2
+    X = rng.standard_normal((n, 2))
+    Y = rng.standard_normal((n, 2))
+    Z = rng.standard_normal((n, 2, 2))
+    alpha = rng.standard_normal((n, 1))
+    mu, nus = ParticleCloud(rng.standard_normal((16, 2)) + 0.5), ()
+    m = mu.mean
+
+    def full(Xs):
+        b = lq.a + Xs @ lq.A.T + lq.A_bar @ m + alpha @ lq.B.T
+        sigma = (lq.sigma + np.einsum("jlq,nq->njl", s1, Xs)
+                 + np.einsum("jlq,q->jl", s1_bar, m))
+        return (np.sum(b * Y, axis=1) + np.einsum("njl,njl->n", sigma, Z)
+                + f(t, Xs, mu, nus, alpha))
+
+    dx = dx_hamiltonian_batch(spec, 0, t, X, mu, nus, Y, Z, alpha)
+    h = 1e-6
+    for c in range(2):
+        step = np.zeros(2)
+        step[c] = h
+        fd = (full(X + step) - full(X - step)) / (2 * h)
+        np.testing.assert_allclose(dx[:, c], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from mfglab.hamiltonian import (
-    HamiltonianContext,
     MinimizeError,
-    dmu_hamiltonian,
-    dx_hamiltonian,
-    hamiltonian_value,
-    minimize,
+    dx_hamiltonian_batch,
     minimize_controls,
     reduced_hamiltonian,
     vi_residual,
@@ -21,28 +17,27 @@ from mfglab.model import population_from_lq, COMPETITIVE
 from mfglab.rng import substream
 
 
-def _context(spec, i, rng, n=1, scale=1.0):
+def _sample(spec, i, rng, n=1, scale=1.0):
+    """Population i's measure arguments (mu, nus), and states X and adjoint
+    values Y at n random rows."""
     d = spec.populations[i].state_dim
     clouds = [ParticleCloud(scale * rng.standard_normal((32, p.state_dim)))
               for p in spec.populations]
     mu, nus = measure_args(spec, i, clouds)
-    x = scale * rng.standard_normal((n, d))
-    y = scale * rng.standard_normal((n, d))
-    if n == 1:
-        x, y = x[0], y[0]
-    return HamiltonianContext(spec=spec, population=i, t=0.3, x=x, mu=mu,
-                              nus=nus, y=y)
+    X = scale * rng.standard_normal((n, d))
+    Y = scale * rng.standard_normal((n, d))
+    return mu, nus, X, Y
 
 
 def test_quadratic_minimizer_closed_form():
     spec = builtin_game("lq-scalar")
     pop = spec.populations[0]
     rng = substream(0, "test-ham-closed")
-    ctx = _context(spec, 0, rng)
-    alpha = minimize(ctx)
+    mu, nus, X, Y = _sample(spec, 0, rng)
+    alpha = minimize_controls(spec, 0, 0.3, X, mu, nus, Y)[0]
     B = pop.lq.B
     R = pop.lq.R
-    expected = -np.linalg.solve(R, B.T @ np.asarray(ctx.y))
+    expected = -np.linalg.solve(R, B.T @ Y[0])
     assert np.allclose(alpha, expected, atol=1e-12)
 
 
@@ -51,9 +46,11 @@ def test_minimizer_matches_grid_search_on_box():
     rng = substream(1, "test-ham-grid")
     grid = np.linspace(-1.0, 1.0, 20001)[:, None]
     for _ in range(10):
-        ctx = _context(spec, 0, rng, scale=2.0)
-        alpha = minimize(ctx)
-        vals = np.array([reduced_hamiltonian(ctx, a) for a in grid])
+        mu, nus, X, Y = _sample(spec, 0, rng, scale=2.0)
+        alpha = minimize_controls(spec, 0, 0.3, X, mu, nus, Y)[0]
+        rows = np.zeros(len(grid), dtype=int)
+        vals = reduced_hamiltonian(spec, 0, 0.3, X[rows], mu, nus, Y[rows],
+                                   grid)
         best = grid[int(np.argmin(vals))]
         assert abs(alpha[0] - best[0]) <= 2e-4
 
@@ -63,12 +60,13 @@ def test_vi_residual_small_at_minimizer_large_off():
     for name in ("lq-1pop", "nonlq-box", "mixed-opec"):
         spec = builtin_game(name)
         for i in range(spec.n_populations):
-            ctx = _context(spec, i, rng, scale=2.0)
-            alpha = minimize(ctx)
-            res = vi_residual(ctx, alpha, seed=3)
+            mu, nus, X, Y = _sample(spec, i, rng, scale=2.0)
+            alpha = minimize_controls(spec, i, 0.3, X, mu, nus, Y)[0]
+            res = vi_residual(spec, i, 0.3, X[0], mu, nus, Y[0], alpha, seed=3)
             assert res <= 1e-8 * (1.0 + np.linalg.norm(alpha))
             off = alpha + 0.5
-            assert vi_residual(ctx, off, seed=3) > 1e-4
+            assert vi_residual(spec, i, 0.3, X[0], mu, nus, Y[0], off,
+                               seed=3) > 1e-4
 
 
 def test_minimizer_lipschitz_bound_in_x_y():
@@ -122,58 +120,25 @@ def test_minimizer_growth_bound():
         assert np.all(gap <= bound + 1e-9)
 
 
-def test_full_hamiltonian_adds_trace_term():
-    spec = builtin_game("lq-scalar")
-    rng = substream(5, "test-ham-full")
-    base = _context(spec, 0, rng)
-    z = rng.standard_normal((1, 1))
-    ctx = HamiltonianContext(spec=spec, population=0, t=base.t, x=base.x,
-                             mu=base.mu, nus=base.nus, y=base.y, z=z)
-    alpha = minimize(ctx)
-    sig = np.asarray(spec.populations[0].diffusion.s0(ctx.t, ctx.mu, ctx.nus))
-    expected = reduced_hamiltonian(ctx, alpha) + float(np.sum(sig * z))
-    assert hamiltonian_value(ctx, alpha) == pytest.approx(expected, abs=1e-12)
-
-
 def test_dx_hamiltonian_matches_finite_difference():
     spec = builtin_game("nonlq-box")
     rng = substream(6, "test-ham-dx")
-    ctx = _context(spec, 0, rng)
-    alpha = minimize(ctx)
-    grad = dx_hamiltonian(ctx, alpha)
+    mu, nus, X, Y = _sample(spec, 0, rng)
+    alpha = minimize_controls(spec, 0, 0.3, X, mu, nus, Y)
+    grad = dx_hamiltonian_batch(spec, 0, 0.3, X, mu, nus, Y, None, alpha)
     h = 1e-6
-    xp = np.asarray(ctx.x, dtype=float).copy()
-    xm = xp.copy()
-    xp[0] += h
-    xm[0] -= h
-    up = HamiltonianContext(spec=spec, population=0, t=ctx.t, x=xp, mu=ctx.mu,
-                            nus=ctx.nus, y=ctx.y)
-    dn = HamiltonianContext(spec=spec, population=0, t=ctx.t, x=xm, mu=ctx.mu,
-                            nus=ctx.nus, y=ctx.y)
-    fd = (reduced_hamiltonian(up, alpha) - reduced_hamiltonian(dn, alpha)) / (2 * h)
-    assert grad[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_dmu_hamiltonian_cooperative_only():
-    spec = builtin_game("lq-1pop")
-    rng = substream(7, "test-ham-dmu")
-    ctx = _context(spec, 0, rng)
-    with pytest.raises(ValueError):
-        dmu_hamiltonian(ctx, np.zeros(1), np.zeros(1), np.zeros(1))
-    coop = builtin_game("lq-2pop-cooperative")
-    cctx = _context(coop, 0, rng, n=8)
-    alpha = minimize(cctx)
-    out = dmu_hamiltonian(cctx, alpha, np.array([0.4]), np.array([0.2]))
-    assert out.shape == (1,)
-    assert np.all(np.isfinite(out))
+    up = reduced_hamiltonian(spec, 0, 0.3, X + h, mu, nus, Y, alpha)
+    dn = reduced_hamiltonian(spec, 0, 0.3, X - h, mu, nus, Y, alpha)
+    fd = (up[0] - dn[0]) / (2 * h)
+    assert grad[0, 0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_minimize_error_reports_residual():
     spec = builtin_game("nonlq-box")
     rng = substream(8, "test-ham-err")
-    ctx = _context(spec, 0, rng, scale=2.0)
+    mu, nus, X, Y = _sample(spec, 0, rng, scale=2.0)
     with pytest.raises(MinimizeError) as err:
-        minimize(ctx, tol=1e-16, max_iter=2)
+        minimize_controls(spec, 0, 0.3, X, mu, nus, Y, tol=1e-16, max_iter=2)
     assert err.value.residual > 0.0
 
 
@@ -237,6 +202,5 @@ def test_box_with_non_diagonal_curvature_runs_projected_gradient():
     clipped = box.project(-np.linalg.solve(_Q, lin.T).T)
     assert np.max(np.abs(alpha - clipped)) > 1e-3
     for p in range(len(X)):
-        ctx = HamiltonianContext(spec=spec, population=0, t=0.3, x=X[p],
-                                 mu=mu, nus=(), y=Y[p])
-        assert vi_residual(ctx, alpha[p], seed=p) <= 1e-8
+        assert vi_residual(spec, 0, 0.3, X[p], mu, (), Y[p], alpha[p],
+                           seed=p) <= 1e-8

@@ -174,6 +174,15 @@ def test_mode_preconditions_checked_before_simulation():
                  mode=MODE_COMPETITIVE, population=0)
 
 
+@pytest.mark.parametrize("population", [-1, 1])
+def test_population_index_checked_before_simulation(population):
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    spec = builtin_game("lq-1pop")
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        nash_gap(spec, eq, N_list=(10 ** 9, 2 * 10 ** 9, 4 * 10 ** 9),
+                 population=population)
+
+
 def test_mixed_modes_run_on_mixed_builtin():
     opec = builtin_game("mixed-opec")
     eq = cached_equilibrium("mixed-opec", n_steps=10, n_paths=512)
