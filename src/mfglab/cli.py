@@ -52,6 +52,8 @@ from .nagent import (
     MODE_COMPETITIVE,
     Deviation,
     StructuralFlagError,
+    _chaos_sizes,
+    _validate_mode,
     chaos_rate,
     chaos_to_csv,
     nash_gap,
@@ -268,7 +270,7 @@ def _experiment_from(block, command, n_populations):
         out["reference_factor"] = _pick_int(block, path, "reference_factor", 16, low=16)
     elif command == "nash":
         fields |= {"sizes", "repetitions", "mode", "population", "deviations",
-                   "open_loop", "best_response_tilt"}
+                   "open_loop"}
         out["sizes"] = _pick_int_list(block, path, "sizes", (64, 256, 1024), low=2)
         out["repetitions"] = _pick_int(block, path, "repetitions", 8, low=1)
         out["mode"] = _pick_choice(block, path, "mode", MODE_COMPETITIVE, ALL_MODES)
@@ -280,8 +282,6 @@ def _experiment_from(block, command, n_populations):
         out["population"] = pop
         out["deviations"] = _deviations_from(block, path)
         out["open_loop"] = _pick_bool(block, path, "open_loop", False)
-        out["best_response_tilt"] = _pick_float(
-            block, path, "best_response_tilt", 0.3)
     elif command == "truncation-study":
         fields |= {"levels"}
         value = block.get("levels", None)
@@ -439,8 +439,9 @@ def cmd_solve(plan, workers, allow_nonconverged):
 
 
 def cmd_chaos(plan, workers):
-    _write_resolved(plan)
     exp = plan["experiment"]
+    _chaos_sizes(exp["sizes"], exp["reference_factor"])
+    _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)
     report = chaos_rate(plan["game"], equilibrium, exp["sizes"],
@@ -457,17 +458,16 @@ def cmd_chaos(plan, workers):
 
 
 def cmd_nash(plan, workers):
-    _write_resolved(plan)
     exp = plan["experiment"]
+    _validate_mode(plan["game"], exp["mode"], exp["population"])
+    _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)
     report = nash_gap(plan["game"], equilibrium, exp["sizes"],
                       deviations=exp["deviations"],
                       repetitions=exp["repetitions"], seed=plan["seed"],
                       mode=exp["mode"], population=exp["population"],
-                      open_loop=exp["open_loop"],
-                      best_response_tilt=exp["best_response_tilt"],
-                      workers=workers)
+                      open_loop=exp["open_loop"], workers=workers)
     out = plan["output_dir"]
     nash_to_csv(report, os.path.join(out, "nash.csv"))
     _write_json(plan, "report.json", report.to_dict())

@@ -26,12 +26,20 @@ MODE_COMPETITIVE = "competitive-agent"
 MODE_COOPERATIVE = "cooperative-population"
 MODE_MIXED_POPULATION = "mixed-setup1"
 MODE_MIXED_AGENT = "mixed-setup2"
-ALL_MODES = (
-    MODE_COMPETITIVE,
-    MODE_COOPERATIVE,
-    MODE_MIXED_POPULATION,
-    MODE_MIXED_AGENT,
-)
+# mode -> (cooperation kind of the deviating population, the
+# StructuralFlags field it needs or None, deviating unit). These are the
+# paper's situations (i), (ii) and (iii); mixed modes need both kinds.
+_MODES = {
+    MODE_COMPETITIVE: (COMPETITIVE, None, "agent"),
+    MODE_COOPERATIVE: (COOPERATIVE, "cooperative_measure_free_intercepts",
+                       "population"),
+    MODE_MIXED_POPULATION: (COOPERATIVE,
+                            "mixed_fringe_own_law_free_intercepts",
+                            "population"),
+    MODE_MIXED_AGENT: (COMPETITIVE, "mixed_fringe_own_law_free_intercepts",
+                       "agent"),
+}
+ALL_MODES = tuple(_MODES)
 DEVIATION_KINDS = ("shift", "anchor", "null", "best-response")
 
 
@@ -105,10 +113,10 @@ def _draw_bundles(spec, grid, tags, seed, rep):
     return xis, dWs
 
 
-def _deviation_fn(dev, spec, i, strategies):
+def _deviation_fn(dev, spec, i, equilibrium):
     """Control of a deviating unit as fn(k, t, X, mu, nus, alpha), with the
     frozen measure arguments and alpha the equilibrium feedback already
-    evaluated at the states X."""
+    evaluated at the states X. A best response is solved here, once."""
     pop = spec.populations[i]
     if dev.kind == "null":
         return lambda k, t, X, mu, nus, alpha: alpha
@@ -118,7 +126,7 @@ def _deviation_fn(dev, spec, i, strategies):
     if dev.kind == "shift":
         c = np.full(pop.action_set.dimension, dev.value)[None, :]
         return lambda k, t, X, mu, nus, alpha: pop.action_set.project(alpha + c)
-    strategy = strategies[dev.ident]
+    strategy = prepare_best_response(spec, i, equilibrium, dev.value)
     return lambda k, t, X, mu, nus, alpha: strategy(k, t, X, mu, nus)
 
 
@@ -181,26 +189,22 @@ class AgentSystem:
 
 
 def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
-                deviating=None, open_loop_controls=None, bundles=None):
+                deviating=None, bundles=None):
     """Simulate the coupled (or i.i.d.) agent system in tag order.
 
     deviating: None or dict {pop index: (bool mask over tags, control fn)};
     the control fn is called as fn(k, t, X, mu, nus, alpha) with the
     equilibrium control alpha at X (see _deviation_fn).
-    open_loop_controls: dict {pop index: (K, n_dev, k) array} overriding
-    the deviating agents' controls with a precommitted process.
     bundles: the (xis, dWs) of every tag, when already drawn.
     """
     m = spec.n_populations
     grid = equilibrium.flows[0].grid
     flows = equilibrium.flows
     deviating = deviating or {}
-    open_loop_controls = open_loop_controls or {}
 
     def control(i):
         feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
         mask, dev_fn = deviating.get(i, (None, None))
-        fixed = open_loop_controls.get(i)
 
         def fn(k, t, X, mu, nus):
             # controls read the frozen flows, also where the coefficients
@@ -211,8 +215,7 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
                 # full-batch evaluation keeps the floating-point path
                 # identical to the baseline's, so a deviation that maps to
                 # the equilibrium feedback costs exactly zero
-                alpha[mask] = (fixed[k] if fixed is not None
-                               else dev_fn(k, t, X, mu, nus, alpha)[mask])
+                alpha[mask] = dev_fn(k, t, X, mu, nus, alpha)[mask]
             return alpha
 
         return fn
@@ -257,15 +260,13 @@ def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0):
     return _run_system(spec, equilibrium, sizes, seed, rep, interacting=False)
 
 
-def simulate_interacting(spec, equilibrium, N, seed=0, rep=0, deviating=None,
-                         open_loop_controls=None):
+def simulate_interacting(spec, equilibrium, N, seed=0, rep=0, deviating=None):
     """Coupled Euler system: coefficients read per-knot empirical clouds,
     controls read frozen equilibrium flows and decoupling fields."""
     _require_converged(equilibrium)
     sizes = _normalize_sizes(spec, N)
     return _run_system(spec, equilibrium, sizes, seed, rep, interacting=True,
-                       deviating=deviating,
-                       open_loop_controls=open_loop_controls)
+                       deviating=deviating)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,20 @@ def _iid_bulk_flow(spec, equilibrium, i, n, rng):
         equilibrium.flows)[0].paths
 
 
+def _chaos_sizes(N_list, reference_factor):
+    """The sorted sizes of a chaos study; raises ValueError when the rate
+    cannot be fitted from them or the reference is too coarse."""
+    N_list = tuple(sorted(int(n) for n in N_list))
+    if len(set(N_list)) < 3:
+        raise ValueError(
+            "fit refused: need at least 3 distinct population sizes, got %r"
+            % (N_list,)
+        )
+    if reference_factor < 16:
+        raise ValueError("reference resolution must be at least 16x max N")
+    return N_list
+
+
 def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
                reference_factor=16, workers=1):
     """Empirical chaos rate: sup-knot mean squared W2 between the law of
@@ -329,14 +344,7 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     self-check. Fitting needs at least 3 distinct sizes.
     """
     _require_converged(equilibrium)
-    N_list = tuple(sorted(int(n) for n in N_list))
-    if len(set(N_list)) < 3:
-        raise ValueError(
-            "fit refused: need at least 3 distinct population sizes, got %r"
-            % (N_list,)
-        )
-    if reference_factor < 16:
-        raise ValueError("reference resolution must be at least 16x max N")
+    N_list = _chaos_sizes(N_list, reference_factor)
     n_max = N_list[-1]
     n_ref = int(reference_factor) * n_max
     m = spec.n_populations
@@ -517,86 +525,52 @@ class NashGapReport:
 
 
 def _validate_mode(spec, mode, population):
+    """(deviating population, "agent" or "population") of a Nash study;
+    raises StructuralFlagError when the game does not support the mode."""
     if population is not None and not 0 <= population < spec.n_populations:
         raise ValueError("population index %d is outside [0, %d)"
                          % (population, spec.n_populations))
-    comp = [i for i, p in enumerate(spec.populations)
-            if p.cooperation == COMPETITIVE]
-    coop = [i for i, p in enumerate(spec.populations)
-            if p.cooperation == COOPERATIVE]
-    flags = spec.structural_flags
-    if mode not in ALL_MODES:
+    if mode not in _MODES:
         raise ValueError("unknown mode %r; expected one of %s"
                          % (mode, ", ".join(ALL_MODES)))
-    if mode == MODE_COMPETITIVE:
-        if not comp:
-            raise StructuralFlagError(
-                "competitive-agent mode needs a competitive population"
-            )
-        target = comp[0] if population is None else population
-        if spec.populations[target].cooperation != COMPETITIVE:
-            raise StructuralFlagError(
-                "population %d is not competitive" % target
-            )
-        return target, "agent"
-    if mode == MODE_COOPERATIVE:
-        if not coop:
-            raise StructuralFlagError(
-                "cooperative-population mode needs a cooperative population"
-            )
-        if not flags.cooperative_measure_free_intercepts:
-            raise StructuralFlagError(
-                "cooperative-population deviations need intercept "
-                "coefficients free of the own measure; the structural flag "
-                "is not set for this game"
-            )
-        target = coop[0] if population is None else population
-        if spec.populations[target].cooperation != COOPERATIVE:
-            raise StructuralFlagError(
-                "population %d is not cooperative" % target
-            )
-        return target, "population"
-    if not comp or not coop:
+    kind, flag, unit = _MODES[mode]
+    kinds = [p.cooperation for p in spec.populations]
+    both = COMPETITIVE in kinds and COOPERATIVE in kinds
+    if mode.startswith("mixed") and not both:
         raise StructuralFlagError(
-            "mixed modes need both cooperative and competitive populations"
-        )
-    if not flags.mixed_fringe_own_law_free_intercepts:
-        raise StructuralFlagError(
-            "mixed-mode deviations need fringe intercepts free of the own "
-            "law; the structural flag is not set for this game"
-        )
-    if mode == MODE_MIXED_POPULATION:
-        target = coop[0] if population is None else population
-        if spec.populations[target].cooperation != COOPERATIVE:
-            raise StructuralFlagError(
-                "mixed-setup1 deviates a cooperative population; %d is not"
-                % target
-            )
-        return target, "population"
-    target = comp[0] if population is None else population
-    if spec.populations[target].cooperation != COMPETITIVE:
-        raise StructuralFlagError(
-            "mixed-setup2 deviates a single competitive agent; %d is not"
-            % target
-        )
-    return target, "agent"
+            "mixed modes need both cooperative and competitive populations")
+    if kind not in kinds:
+        raise StructuralFlagError("%s mode needs a %s population"
+                                  % (mode, kind))
+    if flag is not None and not getattr(spec.structural_flags, flag):
+        raise StructuralFlagError("%s deviations need the structural flag "
+                                  "%s, which is not set for this game"
+                                  % (mode, flag))
+    target = kinds.index(kind) if population is None else population
+    if kinds[target] != kind:
+        raise StructuralFlagError("%s deviates a %s population; population "
+                                  "%d is not %s" % (mode, kind, target, kind))
+    return target, unit
 
 
-def _open_loop_shadow(spec, equilibrium, i, xi, dW, dev_fn):
-    """Precommitted control paths: evaluate the deviation feedback along
-    the deviators' own i.i.d. copy paths (their bundles, frozen flows)."""
+def _open_loop(spec, equilibrium, i, mask, bundles, dev_fn):
+    """dev_fn precommitted: its controls along the deviators' own i.i.d.
+    copy paths (their bundles, frozen flows), whatever the states."""
     grid = equilibrium.flows[0].grid
     feedback = field_feedback(spec, i, equilibrium.solutions[i].field.eval)
-    return euler_scheme(
-        spec, grid, (i,), [xi], [dW],
+    controls = euler_scheme(
+        spec, grid, (i,), [bundles[0][i][mask]], [bundles[1][i][:, mask]],
         [lambda k, t, X, mu, nus: dev_fn(k, t, X, mu, nus,
                                         feedback(k, t, X, mu, nus))],
         equilibrium.flows, keep_controls=True)[0].controls
+    fixed = np.zeros((grid.n_steps, len(mask), controls.shape[-1]))
+    fixed[:, mask] = controls
+    return lambda k, t, X, mu, nus, alpha: fixed[k]
 
 
 def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
              repetitions=8, seed=0, mode=MODE_COMPETITIVE, population=None,
-             open_loop=False, best_response_tilt=0.3, workers=1):
+             open_loop=False, workers=1):
     """Deviation gains of the mean-field strategy in the N-agent game.
 
     For each size and deviation, the deviating unit (one agent, or one
@@ -604,7 +578,10 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     for the deviation while everyone else keeps the equilibrium feedback;
     the gain J(deviation) - J(equilibrium) is estimated with common
     random numbers agent by agent. Mode preconditions (cooperation kinds
-    and structural flags) are checked before any simulation.
+    and structural flags) are checked before any simulation, and each
+    best response is solved once, its value the control-cost tilt. With
+    open_loop, every deviation but null is precommitted along the
+    deviator's own i.i.d. copy path.
     """
     _require_converged(equilibrium)
     target, unit = _validate_mode(spec, mode, population)
@@ -612,12 +589,8 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     devs = tuple(deviations) if deviations is not None else default_deviations()
     m = spec.n_populations
 
-    strategies = {}
-    for dev in devs:
-        if dev.kind == "best-response":
-            strategies[dev.ident] = prepare_best_response(
-                spec, target, equilibrium, dev.value
-            )
+    dev_fns = {dev.ident: _deviation_fn(dev, spec, target, equilibrium)
+               for dev in devs}
 
     def one_task(task):
         n, rep = task
@@ -631,19 +604,13 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
         mask[0] = True
         dev_rows = {}
         for dev in devs:
-            dev_fn = _deviation_fn(dev, spec, target, strategies)
-            open_ctrl = None
+            dev_fn = dev_fns[dev.ident]
             if open_loop and dev.kind != "null":
-                open_ctrl = {
-                    target: _open_loop_shadow(
-                        spec, equilibrium, target, bundles[0][target][mask],
-                        bundles[1][target][:, mask], dev_fn)
-                }
-            system = _run_system(
-                spec, equilibrium, sizes, seed, rep, True,
-                deviating={target: (mask, dev_fn)},
-                open_loop_controls=open_ctrl, bundles=bundles,
-            )
+                dev_fn = _open_loop(spec, equilibrium, target, mask, bundles,
+                                    dev_fn)
+            system = _run_system(spec, equilibrium, sizes, seed, rep, True,
+                                 deviating={target: (mask, dev_fn)},
+                                 bundles=bundles)
             # the deviating unit's mean cost change (one agent, or all)
             dev_rows[dev.ident] = float(system.costs[target][mask].mean()
                                         - baseline.costs[target][mask].mean())
@@ -655,9 +622,18 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
 
     gains = {}
     gain_ses = {}
+    normalized = {}
     baseline_costs = {}
+    eps_sum = {}
+    kappa = {}
+    kappa_floor = {}
     for n in N_list:
         rows = [r for r in results if r[0] == n]
+        sizes = _normalize_sizes(spec, n)
+        total = sum(
+            eps_bar(sizes[i], spec.populations[i].state_dim) for i in range(m)
+        )
+        eps_sum[n] = float(total)
         for dev in devs:
             vals = np.array([r[2][dev.ident] for r in rows])
             gains[(n, dev.ident)] = float(vals.mean())
@@ -666,6 +642,10 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
                 if len(vals) > 1
                 else 0.0
             )
+            normalized[(n, dev.ident)] = gains[(n, dev.ident)] / total
+        low = min(devs, key=lambda dev: gains[(n, dev.ident)])
+        kappa[n] = float(max(0.0, -gains[(n, low.ident)]) / total)
+        kappa_floor[n] = float(gain_ses[(n, low.ident)] / total)
         per_pop = []
         for i in range(m):
             allc = np.concatenate([r[3][i] for r in rows])
@@ -676,23 +656,6 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
                 )
             )
         baseline_costs[n] = per_pop
-
-    eps_sum = {}
-    normalized = {}
-    kappa = {}
-    kappa_floor = {}
-    for n in N_list:
-        sizes = _normalize_sizes(spec, n)
-        total = sum(
-            eps_bar(sizes[i], spec.populations[i].state_dim) for i in range(m)
-        )
-        eps_sum[n] = float(total)
-        for dev in devs:
-            normalized[(n, dev.ident)] = gains[(n, dev.ident)] / total
-        low = min(devs, key=lambda dev: gains[(n, dev.ident)])
-        min_gain = gains[(n, low.ident)]
-        kappa[n] = float(max(0.0, -min_gain) / total)
-        kappa_floor[n] = float(gain_ses[(n, low.ident)] / total)
 
     return NashGapReport(
         spec_name=spec.name,

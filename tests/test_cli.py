@@ -255,21 +255,25 @@ def test_shipped_models_pass_the_shape_check(model):
 
 
 def test_chaos_requires_three_distinct_sizes(tmp_path, capsys):
+    out = tmp_path / "out"
     cfg = _write(tmp_path / "c.yaml", _base_config(
-        tmp_path / "out",
+        out,
         "experiment:\n  kind: chaos\n  sizes: [16, 16, 32]\n"
         "  repetitions: 2\n"))
     assert main(["chaos", "--config", cfg]) == 1
     assert "fit refused" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nash_mode_precondition_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
     cfg = _write(tmp_path / "c.yaml", _base_config(
-        tmp_path / "out",
+        out,
         "experiment:\n  kind: nash\n  mode: cooperative-population\n"
         "  sizes: [6, 8, 10]\n  repetitions: 2\n"))
     assert main(["nash", "--config", cfg]) == 1
     assert "mode precondition failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("population", [-1, 2, 7])

@@ -11,7 +11,7 @@ from mfglab.hamiltonian import minimize_controls
 from mfglab.measures import (ParticleCloud, TimeGrid, empirical_from_states,
                              sliced_w2)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
-                          builtin_game, gaussian_initial_law,
+                          builtin_game, builtin_library, gaussian_initial_law,
                           population_from_lq)
 from mfglab.nagent import (
     Deviation,
@@ -183,6 +183,56 @@ def test_population_index_checked_before_simulation(population):
                  population=population)
 
 
+# (builtin, mode, population) -> (deviating population, unit) for every
+# accepted combination; every other one over the builtins, each mode and
+# population None or an index must raise StructuralFlagError
+_ACCEPTED_MODES = {
+    ("lq-1pop", "competitive-agent", None): (0, "agent"),
+    ("lq-1pop", "competitive-agent", 0): (0, "agent"),
+    ("lq-2pop-competitive", "competitive-agent", None): (0, "agent"),
+    ("lq-2pop-competitive", "competitive-agent", 0): (0, "agent"),
+    ("lq-2pop-competitive", "competitive-agent", 1): (1, "agent"),
+    ("lq-2pop-cooperative", "cooperative-population", None): (0, "population"),
+    ("lq-2pop-cooperative", "cooperative-population", 0): (0, "population"),
+    ("lq-2pop-cooperative", "cooperative-population", 1): (1, "population"),
+    ("lq-bimodal", "competitive-agent", None): (0, "agent"),
+    ("lq-bimodal", "competitive-agent", 0): (0, "agent"),
+    ("lq-scalar", "competitive-agent", None): (0, "agent"),
+    ("lq-scalar", "competitive-agent", 0): (0, "agent"),
+    ("mixed-opec", "competitive-agent", None): (1, "agent"),
+    ("mixed-opec", "competitive-agent", 1): (1, "agent"),
+    ("mixed-opec", "mixed-setup1", None): (0, "population"),
+    ("mixed-opec", "mixed-setup1", 0): (0, "population"),
+    ("mixed-opec", "mixed-setup2", None): (1, "agent"),
+    ("mixed-opec", "mixed-setup2", 1): (1, "agent"),
+    ("nonlq-box", "competitive-agent", None): (0, "agent"),
+    ("nonlq-box", "competitive-agent", 0): (0, "agent"),
+}
+_MODE_CASES = [
+    (name, mode, pop)
+    for name, spec in sorted(builtin_library().items())
+    for mode in ("competitive-agent", "cooperative-population",
+                 "mixed-setup1", "mixed-setup2")
+    for pop in [None, *range(spec.n_populations)]
+]
+
+
+def test_mode_cases_cover_every_builtin():
+    assert len(_MODE_CASES) == 68
+    assert set(_ACCEPTED_MODES) <= set(_MODE_CASES)
+
+
+@pytest.mark.parametrize("name, mode, population", _MODE_CASES)
+def test_mode_rules(name, mode, population):
+    spec = builtin_game(name)
+    expected = _ACCEPTED_MODES.get((name, mode, population))
+    if expected is None:
+        with pytest.raises(StructuralFlagError):
+            nagent._validate_mode(spec, mode, population)
+    else:
+        assert nagent._validate_mode(spec, mode, population) == expected
+
+
 def test_mixed_modes_run_on_mixed_builtin():
     opec = builtin_game("mixed-opec")
     eq = cached_equilibrium("mixed-opec", n_steps=10, n_paths=512)
@@ -210,6 +260,24 @@ def test_open_loop_and_best_response_variants_run():
     for n in (6, 8, 10):
         assert np.isfinite(closed.gains[(n, "best-response:0.3")])
         assert np.isfinite(opened.gains[(n, "best-response:0.3")])
+
+
+def test_open_loop_equals_closed_loop_when_drift_ignores_the_measure():
+    # lq-1pop's drift reads no measure, so a deviator's own i.i.d. copy
+    # path is its path in the interacting system: precommitting the
+    # controls along it changes nothing but rounding
+    spec = builtin_game("lq-1pop")
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    devs = (Deviation("shift", 0.2), Deviation("anchor"),
+            Deviation("best-response", 0.3))
+    closed = nash_gap(spec, eq, N_list=(6, 8, 10), deviations=devs,
+                      repetitions=2, seed=0)
+    opened = nash_gap(spec, eq, N_list=(6, 8, 10), deviations=devs,
+                      repetitions=2, seed=0, open_loop=True)
+    assert set(closed.gains) == set(opened.gains) and len(closed.gains) == 9
+    for key, gain in closed.gains.items():
+        assert opened.gains[key] == pytest.approx(gain, rel=0, abs=1e-12)
+        assert gain != 0.0
 
 
 def test_workers_do_not_change_nash_results():
@@ -296,7 +364,7 @@ def test_null_deviation_evaluates_feedback_once_per_step(monkeypatch):
     monkeypatch.setattr(hamiltonian, "minimize_controls", counted)
     mask = np.zeros(64, dtype=bool)
     mask[0] = True
-    dev_fn = nagent._deviation_fn(Deviation("null"), spec, 0, {})
+    dev_fn = nagent._deviation_fn(Deviation("null"), spec, 0, eq)
     simulate_interacting(spec, eq, 64, seed=0, deviating={0: (mask, dev_fn)})
     # one full-batch feedback evaluation per step, shared by the deviator
     assert rows == [64] * 10
