@@ -459,7 +459,10 @@ def cmd_chaos(plan, workers):
 
 def cmd_nash(plan, workers):
     exp = plan["experiment"]
-    _validate_mode(plan["game"], exp["mode"], exp["population"])
+    # record the population the study deviates, also when the config
+    # leaves it to the mode
+    exp["population"], _ = _validate_mode(plan["game"], exp["mode"],
+                                          exp["population"])
     _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)

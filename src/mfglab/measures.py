@@ -299,7 +299,7 @@ def flow_to_csv(flow, path):
             # one string per knot, so no text for the whole flow is built
             fmt = ("%d,%.17g," % (k, flow.grid.times[k])
                    + ",".join(["%.17g"] * flow.dim) + "\n")
-            fh.write("".join(fmt % tuple(r) for r in cloud.points.tolist()))
+            fh.write((fmt * cloud.n) % tuple(cloud.points.ravel().tolist()))
 
 
 def flow_from_csv(path):

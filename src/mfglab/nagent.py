@@ -1,14 +1,17 @@
 """Finite-agent simulation: i.i.d. copies, interacting systems, chaos
 rates, and approximate-Nash gaps.
 
-Every agent owns an independent randomness bundle (initial draw plus
+In the i.i.d. and interacting simulators, and so in the Nash study,
+every agent owns an independent randomness bundle (initial draw plus
 Brownian increments) keyed by a stable tag, and systems always run in tag
 order, so simulations are nested across population sizes: the bundles
 of the N-agent i.i.d. system are a bitwise prefix of the larger one's,
 and its paths and costs match that prefix up to the rounding of the
 field evaluation, which depends on the batch size. The interacting system
 feeds live empirical clouds to the coefficients while controls always
-read the frozen equilibrium flows and decoupling fields.
+read the frozen equilibrium flows and decoupling fields. The chaos study
+needs no per-agent streams: it draws one system of the largest size per
+(repetition, population) in bulk, and each smaller size is its prefix.
 """
 
 import dataclasses
@@ -306,8 +309,11 @@ class ChaosReport:
 
 
 def _iid_bulk_flow(spec, equilibrium, i, n, rng):
-    """One forward simulation of n i.i.d. copies with bulk draws; used
-    for the high-resolution reference sample of the limit law."""
+    """The (K+1, n, d) paths of one forward simulation of n i.i.d.
+    copies of population i, with all initial draws and then all Brownian
+    increments taken from rng in bulk. The chaos study draws both its
+    reference sample of the limit law and each repetition's system this
+    way; n copies are not a prefix of more copies from the same rng."""
     pop = spec.populations[i]
     grid = equilibrium.flows[0].grid
     K = grid.n_steps
@@ -339,6 +345,8 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     """Empirical chaos rate: sup-knot mean squared W2 between the law of
     N i.i.d. copies and a high-resolution reference sample of the limit.
 
+    Each repetition draws one system of the largest N per population in
+    bulk, from its own substream, and every smaller N is a prefix of it.
     The reference uses reference_factor times the largest N (at least
     16x); a half-resolution reference is evaluated alongside as a bias
     self-check. Fitting needs at least 3 distinct sizes.
@@ -377,14 +385,14 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
                 float(np.sqrt(sorted_w2sq(xs, half))) ** 2)
 
     def one_rep(rep):
-        sys_max = simulate_iid_copies(spec, equilibrium, n_max, seed=seed,
-                                      rep=rep)
         full = np.empty((m, len(N_list), n_knots))
         half = np.empty((m, len(N_list), n_knots))
         for i in range(m):
+            X = _iid_bulk_flow(spec, equilibrium, i, n_max, substream(
+                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i)))
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
-                    cloud = ParticleCloud(sys_max.paths[i][k][:n])
+                    cloud = ParticleCloud(X[k][:n])
                     full[i, a, k], half[i, a, k] = w2sq_pair(cloud,
                                                              *refs[i][k])
         return full, half

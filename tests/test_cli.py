@@ -276,6 +276,20 @@ def test_nash_mode_precondition_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nash_records_the_population_it_deviated(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: mixed-opec\nseed: 0\noutput_dir: %s\n"
+                 "solver:\n  n_steps: 10\n  n_paths: 256\n"
+                 "experiment:\n  kind: nash\n  mode: mixed-setup2\n"
+                 "  sizes: [6, 8, 10]\n  repetitions: 2\n" % out)
+    assert main(["nash", "--config", cfg]) == 0
+    resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert report["population"] == 1
+    assert resolved["experiment"]["population"] == report["population"]
+
+
 @pytest.mark.parametrize("population", [-1, 2, 7])
 def test_nash_population_out_of_range_rejected(tmp_path, capsys, population):
     out = tmp_path / "out"

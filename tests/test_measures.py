@@ -315,6 +315,34 @@ def test_flow_csv_bytes_match_csv_writer(tmp_path):
             assert c1.points.tobytes() == c2.points.tobytes()
 
 
+_CSV_EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
+                    1e16, 0.1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 6), n_steps=st.integers(1, 3),
+       horizon=st.floats(0.01, 10.0),
+       values=st.lists(st.one_of(st.sampled_from(_CSV_EDGE_VALUES),
+                                 st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+                       min_size=1, max_size=8))
+def test_flow_csv_bytes_match_per_row_formatter(tmp_path_factory, d, n,
+                                                n_steps, horizon, values):
+    count = (n_steps + 1) * n * d
+    pts = np.resize(np.array(values), count).reshape(n_steps + 1, n, d)
+    grid = TimeGrid(horizon, n_steps)
+    flow = MeasureFlow(grid, [ParticleCloud(p) for p in pts])
+    path = tmp_path_factory.mktemp("csv") / "flow.csv"
+    flow_to_csv(flow, str(path))
+    # the per-row formatter flow_to_csv used before
+    ref = ",".join(["knot", "time"] + ["x%d" % j for j in range(d)]) + "\n"
+    for k, cloud in enumerate(flow.clouds):
+        fmt = ("%d,%.17g," % (k, grid.times[k])
+               + ",".join(["%.17g"] * d) + "\n")
+        ref += "".join(fmt % tuple(r) for r in cloud.points.tolist())
+    assert path.read_bytes() == ref.encode()
+
+
 def test_empirical_from_states():
     states = np.arange(24.0).reshape(3, 4, 2)
     grid = TimeGrid(1.0, 2)

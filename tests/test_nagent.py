@@ -305,11 +305,11 @@ def _direct_chaos_curves(spec, eq, N_list, repetitions, seed, factor):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
         X = nagent._iid_bulk_flow(spec, eq, i, n_ref, rng)
         for rep in range(repetitions):
-            system = simulate_iid_copies(spec, eq, N_list[-1], seed=seed,
-                                         rep=rep)
+            paths = nagent._iid_bulk_flow(spec, eq, i, N_list[-1], substream(
+                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i)))
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
-                    cloud = ParticleCloud(system.paths[i][k][:n])
+                    cloud = ParticleCloud(paths[k][:n])
                     full[rep, i, a, k] = sliced_w2(
                         cloud, ParticleCloud(X[k])) ** 2
                     half[rep, i, a, k] = sliced_w2(
@@ -413,6 +413,18 @@ def test_chaos_rate_same_report_for_any_worker_count():
                       workers=4)
     assert one.to_dict() == four.to_dict()
     assert one.knot_curves[0].tobytes() == four.knot_curves[0].tobytes()
+
+
+def test_chaos_rate_draws_no_per_agent_bundles(monkeypatch):
+    spec = builtin_game("lq-2pop-competitive")
+    eq = cached_equilibrium("lq-2pop-competitive", n_steps=10, n_paths=512)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chaos_rate drew per-agent bundles")
+
+    monkeypatch.setattr(nagent, "_draw_bundles", refuse)
+    report = chaos_rate(spec, eq, (8, 16, 32), repetitions=2, seed=0)
+    assert len(report.estimates) == 2
 
 
 @settings(max_examples=40, deadline=None)
