@@ -263,12 +263,19 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit):
     mkv = spec.populations[i].cooperation == COOPERATIVE
     K = grid.n_steps
     n, d = X[0].shape
+    def regression(k):
+        try:
+            return KnotRegression(X[k], degree)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError("knot %d, max |state| %.3g: %s" % (
+                k, np.abs(X[k]).max(), exc)) from exc
+
     Y = _terminal_adjoint(spec, i, X[K], *measures[K])
-    refit(K, KnotRegression(X[K], degree), Y)
+    refit(K, regression(K), Y)
     for k in range(K - 1, -1, -1):
         t = grid.times[k]
         mu, nus = measures[k]
-        fit = KnotRegression(X[k], degree)
+        fit = regression(k)
         _, yhat = fit.solve(Y)
         ztarget = np.einsum("nj,nl->njl", Y, dW[k]).reshape(n, d * d)
         zhat = fit.solve(ztarget / grid.dt)[1].reshape(n, d, d)

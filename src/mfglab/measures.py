@@ -241,6 +241,25 @@ def sorted_w2sq(xs, ys):
     return float(np.sum(lens * (_gather(xs, ix) - _gather(ys, iy)) ** 2))
 
 
+def quantile_cells(ys, n):
+    """Sorted ys reduced to the cells an n-point sorted sample meets:
+    read-only w (each point's cell length), ybar (the length-weighted mean
+    of ys there) and the within-cell spread, centered against cancellation."""
+    lens, ix, iy = _quantile_layout(n, len(ys))
+    y, ix = _gather(ys, iy), _gather(np.arange(n), ix)
+    w = np.bincount(ix, lens, n)
+    ybar = np.bincount(ix, lens * y, n) / w
+    for a in (w, ybar):
+        a.setflags(write=False)
+    return w, ybar, float(np.sum(lens * (y - ybar[ix]) ** 2))
+
+
+def cells_w2sq(xs, cells):
+    """sorted_w2sq(xs, ys) up to rounding, from quantile_cells(ys, len(xs))."""
+    w, ybar, spread = cells
+    return float(np.sum(w * (xs - ybar) ** 2) + spread)
+
+
 def wasserstein2_1d_any(a, b):
     """Exact 1-d W2 allowing unequal counts (quantile integration)."""
     _require_dim(a, b, 1)

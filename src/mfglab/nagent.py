@@ -21,7 +21,8 @@ import numpy as np
 
 from .fbsde import _path_costs, euler_scheme, solve_adjoint
 from .hamiltonian import field_feedback
-from .measures import ParticleCloud, sliced_w2, sorted_slices, sorted_w2sq
+from .measures import (ParticleCloud, cells_w2sq, quantile_cells, sliced_w2,
+                       sorted_slices)
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import parallel_map, restart, stream_keys, substream
 
@@ -327,14 +328,16 @@ def _iid_bulk_flow(spec, equilibrium, i, n, rng):
 
 
 def _chaos_sizes(N_list, reference_factor):
-    """The sorted sizes of a chaos study; raises ValueError when the rate
-    cannot be fitted from them or the reference is too coarse."""
+    """The sorted sizes of a chaos study; raises ValueError when one is
+    below 2, they cannot fit the rate or the reference is too coarse."""
     N_list = tuple(sorted(int(n) for n in N_list))
     if len(set(N_list)) < 3:
         raise ValueError(
             "fit refused: need at least 3 distinct population sizes, got %r"
             % (N_list,)
         )
+    if N_list[0] < 2:
+        raise ValueError("chaos sizes must be at least 2, got %d" % N_list[0])
     if reference_factor < 16:
         raise ValueError("reference resolution must be at least 16x max N")
     return N_list
@@ -349,7 +352,9 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     bulk, from its own substream, and every smaller N is a prefix of it.
     The reference uses reference_factor times the largest N (at least
     16x); a half-resolution reference is evaluated alongside as a bias
-    self-check. Fitting needs at least 3 distinct sizes.
+    self-check. In d = 1 each reference knot keeps only its quantile cells
+    per N, so a W2 is one pass over N sorted points. Fitting needs at
+    least 3 distinct sizes, each at least 2.
     """
     _require_converged(equilibrium)
     N_list = _chaos_sizes(N_list, reference_factor)
@@ -359,30 +364,29 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     grid = equilibrium.flows[0].grid
     n_knots = len(grid)
 
-    # Each reference knot is checked as a cloud once; the half reference
-    # is its prefix. In d = 1 both are kept sorted and each N-agent prefix
-    # is sorted once for both; in d >= 2 a reference's sorted rows, one
-    # per direction, would take n_projections / d times its memory, so
-    # sliced_w2 projects and sorts both clouds on every call.
+    # refs[i][k][a]: knot k's full reference, checked as a cloud once, and
+    # its half prefix; in d = 1 only their read-only quantile cells for
+    # size N_list[a] are kept, in d >= 2 the clouds, as sorted rows per
+    # direction would take n_projections / d times their memory.
     refs = []
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
         X = _iid_bulk_flow(spec, equilibrium, i, n_ref, rng)
         if spec.populations[i].state_dim == 1:
-            refs.append([(sorted_slices(ParticleCloud(x)),
-                          np.sort(x[: n_ref // 2, 0])) for x in X])
+            refs.append([[(quantile_cells(ref, n), quantile_cells(half, n))
+                          for n in N_list] for ref, half in (
+                (sorted_slices(ParticleCloud(x)), np.sort(x[: n_ref // 2, 0]))
+                for x in X)])
         else:
-            refs.append([(ParticleCloud(x), ParticleCloud(x[: n_ref // 2]))
-                         for x in X])
+            refs.append([[(ParticleCloud(x), ParticleCloud(x[: n_ref // 2]))]
+                         * len(N_list) for x in X])
         del X
 
     def w2sq_pair(cloud, ref, half):
         if cloud.dim > 1:
             return sliced_w2(cloud, ref) ** 2, sliced_w2(cloud, half) ** 2
-        # square the rounded distance, as sliced_w2(...) ** 2 does
         xs = sorted_slices(cloud)
-        return (float(np.sqrt(sorted_w2sq(xs, ref))) ** 2,
-                float(np.sqrt(sorted_w2sq(xs, half))) ** 2)
+        return cells_w2sq(xs, ref), cells_w2sq(xs, half)
 
     def one_rep(rep):
         full = np.empty((m, len(N_list), n_knots))
@@ -393,8 +397,8 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
                     cloud = ParticleCloud(X[k][:n])
-                    full[i, a, k], half[i, a, k] = w2sq_pair(cloud,
-                                                             *refs[i][k])
+                    full[i, a, k], half[i, a, k] = w2sq_pair(
+                        cloud, *refs[i][k][a])
         return full, half
 
     results = parallel_map(one_rep, list(range(repetitions)), workers=workers)

@@ -11,7 +11,9 @@ from mfglab.fixedpoint import (
 )
 from mfglab.measures import (empirical_from_states, flow_distance,
                              wasserstein2_1d)
-from mfglab.model import builtin_game
+from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, _lq1,
+                          builtin_game, gaussian_initial_law,
+                          population_from_lq)
 
 from conftest import cached_equilibrium, fp_config
 
@@ -80,6 +82,22 @@ def test_nonconvergence_reported_not_raised():
     report = solve_matching(spec, cfg, seed=0)
     assert not report.converged
     assert report.iterations == 3
+
+
+def test_state_blow_up_names_population_iteration_and_knot():
+    # lq-1pop's data with anti-coordination weights S = G = -6 and Wg = 3:
+    # undamped, the states overflow in the regression features
+    lq = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=3.0, S=-6.0, G=-6.0)
+    pop = population_from_lq(lq, COMPETITIVE, gaussian_initial_law([1.0], 0.5),
+                             initial_mean=[1.0], initial_cov=[[0.25]])
+    spec = GameSpec(populations=(pop,), horizon=1.0,
+                    constants=ModelConstants(1.0, 0.5, 1.0), name="anti")
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=20, n_paths=1024),
+                           theta=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"population 0 at iteration "
+                           r"\d+: knot \d+, max \|state\| "):
+            solve_matching(spec, cfg, seed=0)
 
 
 def test_resample_mix_variant_converges():

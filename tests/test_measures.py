@@ -131,6 +131,32 @@ def test_w2_any_equals_index_gather_for_any_counts(n, m, dividing, swap,
     assert got == pytest.approx(wasserstein2_1d_any(b, a), rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 300),
+       counts=st.sampled_from(["any", "dividing", "n>m", "m=1"]),
+       ties=st.booleans(), offset=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_cells_w2sq_matches_index_gather(n, m, counts, ties, offset, seed):
+    if counts == "dividing":
+        n, m = min(n, m), min(n, m) * max(1, max(n, m) // min(n, m))
+    elif counts == "n>m":
+        n, m = max(n, m) + 1, min(n, m)
+    elif counts == "m=1":
+        m = 1
+    rng = np.random.default_rng(seed)
+    xs = 3.0 * rng.standard_normal(n)
+    ys = 1.0 + rng.standard_normal(m)
+    if ties:
+        xs, ys = np.round(xs), np.round(ys)
+    xs, ys = np.sort(xs + offset), np.sort(ys + offset)
+    gather = sorted_w2sq(xs, ys)
+    got = measures.cells_w2sq(xs, measures.quantile_cells(ys, n))
+    # the centered cell form rounds within a few eps * M * W2 of the
+    # gather; per-cell sums of y and y^2 cancel catastrophically here
+    eps, big = np.finfo(float).eps, max(np.abs(xs).max(), np.abs(ys).max())
+    assert abs(got - gather) <= 64 * eps * big * (np.sqrt(gather) + big * eps)
+
+
 def test_sliced_point_mass_two_dim():
     v = np.array([1.5, -0.7])
     a = ParticleCloud(np.tile(v, (8, 1)))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from mfglab import hamiltonian, nagent
 from mfglab.fixedpoint import solve_matching
 from mfglab.hamiltonian import minimize_controls
-from mfglab.measures import (ParticleCloud, TimeGrid, empirical_from_states,
-                             sliced_w2)
+from mfglab.measures import (ParticleCloud, TimeGrid, cells_w2sq,
+                             empirical_from_states, quantile_cells, sliced_w2,
+                             sorted_slices)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
                           builtin_game, builtin_library, gaussian_initial_law,
                           population_from_lq)
@@ -110,9 +111,17 @@ def test_unconverged_equilibrium_rejected():
         simulate_iid_copies(spec, bad, 8)
 
 
-def test_chaos_needs_three_sizes_and_deep_reference():
+def test_chaos_needs_three_sizes_and_deep_reference(monkeypatch):
     spec = builtin_game("lq-1pop")
     eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chaos_rate simulated before checking sizes")
+
+    monkeypatch.setattr(nagent, "_iid_bulk_flow", refuse)
+    for low in (0, -4):
+        with pytest.raises(ValueError, match="at least 2, got %d" % low):
+            chaos_rate(spec, eq, [low, 8, 16], repetitions=2)
     with pytest.raises(ValueError, match="fit refused"):
         chaos_rate(spec, eq, [32, 32, 64], repetitions=2)
     with pytest.raises(ValueError, match="16x"):
@@ -293,32 +302,49 @@ def test_workers_do_not_change_nash_results():
     assert a.kappa_by_N == b.kappa_by_N
 
 
-def _direct_chaos_curves(spec, eq, N_list, repetitions, seed, factor):
-    """Knot curves and half-reference bias of chaos_rate, recomputed with
-    one sliced_w2 call per (repetition, size, knot, reference)."""
+def _direct_chaos_w2sq(spec, eq, N_list, repetitions, seed, factor, w2sq):
+    """chaos_rate's squared W2 per (repetition, population, size, knot)
+    against the full and the half reference, recomputed with one
+    w2sq(cloud, reference cloud) call each, and the largest |state|."""
     n_ref = factor * N_list[-1]
     m = spec.n_populations
     n_knots = len(eq.flows[0].grid)
     full = np.empty((repetitions, m, len(N_list), n_knots))
     half = np.empty_like(full)
+    big = 0.0
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
         X = nagent._iid_bulk_flow(spec, eq, i, n_ref, rng)
+        big = max(big, np.abs(X).max())
         for rep in range(repetitions):
             paths = nagent._iid_bulk_flow(spec, eq, i, N_list[-1], substream(
                 seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i)))
+            big = max(big, np.abs(paths).max())
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
                     cloud = ParticleCloud(paths[k][:n])
-                    full[rep, i, a, k] = sliced_w2(
-                        cloud, ParticleCloud(X[k])) ** 2
-                    half[rep, i, a, k] = sliced_w2(
-                        cloud, ParticleCloud(X[k][: n_ref // 2])) ** 2
-    curves = [full[:, i].mean(axis=0) for i in range(m)]
-    bias = [half[:, i].mean(axis=0)[np.arange(len(N_list)),
+                    full[rep, i, a, k] = w2sq(cloud, ParticleCloud(X[k]))
+                    half[rep, i, a, k] = w2sq(
+                        cloud, ParticleCloud(X[k][: n_ref // 2]))
+    return full, half, big
+
+
+def _chaos_curves(full, half):
+    """Knot curves and half-reference bias, as chaos_rate reduces them."""
+    curves = [full[:, i].mean(axis=0) for i in range(full.shape[1])]
+    bias = [half[:, i].mean(axis=0)[np.arange(full.shape[2]),
                                     curves[i].argmax(axis=1)]
-            for i in range(m)]
+            for i in range(full.shape[1])]
     return curves, bias
+
+
+def _sliced_w2sq(cloud, ref):
+    return sliced_w2(cloud, ref) ** 2
+
+
+def _cells_w2sq(cloud, ref):
+    return cells_w2sq(sorted_slices(cloud),
+                      quantile_cells(sorted_slices(ref), cloud.n))
 
 
 def _lq_2d_game():
@@ -345,7 +371,19 @@ def test_chaos_rate_equals_direct_w2(game):
         eq = cached_equilibrium(game, n_steps=10, n_paths=512)
     report = chaos_rate(spec, eq, N_list, repetitions=reps, seed=seed,
                         reference_factor=factor)
-    curves, bias = _direct_chaos_curves(spec, eq, N_list, reps, seed, factor)
+    args = (spec, eq, N_list, reps, seed, factor)
+    *sliced, big = _direct_chaos_w2sq(*args, _sliced_w2sq)
+    direct = sliced
+    if game == "lq-bimodal":
+        # in d = 1 chaos_rate reads the cells of the reference it drew,
+        direct = _direct_chaos_w2sq(*args, _cells_w2sq)[:2]
+        # which agree with direct sliced_w2 up to the cell kernel's bound
+        eps = np.finfo(float).eps
+        for got, ref in zip(direct, sliced):
+            assert np.all(np.abs(got - ref)
+                          <= 64 * eps * big * (np.sqrt(ref) + big * eps))
+    # prefixes, streams, the half reference and the argmax are bitwise
+    curves, bias = _chaos_curves(*direct)
     for i in range(spec.n_populations):
         assert report.knot_curves[i].tobytes() == curves[i].tobytes()
         assert report.bias_check[i].tobytes() == bias[i].tobytes()
