@@ -4,7 +4,9 @@ The map Phi sends a tuple of frozen flows to the empirical laws of the
 optimally controlled states, one adjoint solve per population, whose
 cooperation kind picks its adjoint equation. Equilibria are fixed points
 of Phi; the iteration mixes each new flow into the old one with a damping
-weight and stops when successive Phi outputs agree in flow distance.
+weight, under paired mixing picked by a secant step on the last two
+residuals Phi(F) - F, and stops when successive Phi outputs agree in flow
+distance.
 """
 
 import dataclasses
@@ -63,6 +65,7 @@ class HistoryRow:
     deltas: tuple
     costs: tuple
     picard_iterations: tuple
+    contraction: float = None
 
 
 @dataclass
@@ -101,6 +104,7 @@ class EquilibriumReport:
                     "deltas": list(row.deltas),
                     "costs": list(row.costs),
                     "picard_iterations": list(row.picard_iterations),
+                    "contraction": row.contraction,
                 }
                 for row in self.history
             ],
@@ -172,6 +176,19 @@ def _delta_ratio(deltas):
     return float(np.exp(np.mean(np.diff(logs))))
 
 
+def _secant_slope(prev_inputs, prev_outputs, inputs, outputs, theta):
+    """j = <R0, R1 - R0> / (theta |R0|^2) for the last two residuals R =
+    outputs - inputs, summed knot by knot in population order."""
+    num = den = 0.0
+    for f0, p0, f1, p1 in zip(prev_inputs, prev_outputs, inputs, outputs):
+        for k in range(len(f1.grid)):
+            r0 = p0.clouds[k].points - f0.clouds[k].points
+            r1 = p1.clouds[k].points - f1.clouds[k].points
+            num += float(np.sum(r0 * (r1 - r0)))
+            den += float(np.sum(r0 * r0))
+    return num / (theta * den)
+
+
 def solve_matching(spec, config=None, seed=0, workers=1):
     """Fixed-point iteration for the matching problem of a game.
 
@@ -181,22 +198,27 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     a report regardless of convergence, with the converged flag set
     accordingly; inner solver failures propagate with the population index
     attached.
+
+    The first mixing weight is config.theta; under paired mixing each later
+    one is -1/j, clipped to [THETA_MIN, 1], for a secant slope j < 0 of
+    Phi - I, unless three rising deltas halve it. A history row holds the
+    weight that built its input and the secant estimate 1 + j of Phi's slope.
     """
     cfg = config if config is not None else FixedPointConfig()
     m = spec.n_populations
     flows = uncontrolled_flows(spec, cfg.solver.n_steps, cfg.solver.n_paths, seed)
-    prev_outputs = flows
-    prev_solutions = [None] * m
+    prev_inputs = prev_outputs = flows
+    fields = [None] * m
     theta = cfg.theta
     history = []
     converged = False
-    solutions = None
     outputs = None
     costs = None
     iteration = 0
     halved_at = -10
     for iteration in range(1, cfg.max_iterations + 1):
         frozen = flows
+        solutions = None  # the next solves read only the fields kept below
 
         def one(i):
             try:
@@ -206,9 +228,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
                     frozen,
                     cfg.solver,
                     seed,
-                    initial_field=(
-                        prev_solutions[i].field if prev_solutions[i] else None
-                    ),
+                    initial_field=fields[i],
                 )
             except Exception as exc:
                 raise RuntimeError(
@@ -249,12 +269,17 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         ):
             theta = max(theta / 2.0, THETA_MIN)
             halved_at = iteration
+        elif cfg.mix == "paired" and iteration >= 2:
+            j = _secant_slope(prev_inputs, prev_outputs, frozen, outputs, theta)
+            history[-1].contraction = 1.0 + j
+            if j < 0.0:
+                theta = min(max(-1.0 / j, THETA_MIN), 1.0)
         flows = [
             _mix_flows(flows[i], outputs[i], theta, cfg.mix, seed, iteration, i)
             for i in range(m)
         ]
-        prev_outputs = outputs
-        prev_solutions = solutions
+        prev_inputs, prev_outputs = frozen, outputs
+        fields = [sol.field for sol in solutions]
 
     for i in range(m):
         for k in range(len(outputs[i].grid)):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from mfglab import fixedpoint
 from mfglab.fbsde import SolverConfig, lq_from_game, solve_lq_riccati
 from mfglab.fixedpoint import (
     FixedPointConfig,
@@ -61,6 +65,8 @@ def test_report_serializes_and_history_written(tmp_path):
     assert d["history"][0]["iteration"] == 1
     # too few iterations here for a decay-rate fit; the field stays present
     assert d["delta_ratio"] is None
+    # a decoupled game converges before any secant step
+    assert [row["contraction"] for row in d["history"]] == [None, None]
     path = tmp_path / "history.csv"
     write_history_csv(report, path)
     lines = path.read_text().strip().split("\n")
@@ -84,20 +90,63 @@ def test_nonconvergence_reported_not_raised():
     assert report.iterations == 3
 
 
-def test_state_blow_up_names_population_iteration_and_knot():
-    # lq-1pop's data with anti-coordination weights S = G = -6 and Wg = 3:
-    # undamped, the states overflow in the regression features
-    lq = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=3.0, S=-6.0, G=-6.0)
+def _anti_coordination(s):
+    # lq-1pop's data with anti-coordination weights S = G = s and Wg = 3
+    lq = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=3.0, S=s, G=s)
     pop = population_from_lq(lq, COMPETITIVE, gaussian_initial_law([1.0], 0.5),
                              initial_mean=[1.0], initial_cov=[[0.25]])
-    spec = GameSpec(populations=(pop,), horizon=1.0,
+    return GameSpec(populations=(pop,), horizon=1.0,
                     constants=ModelConstants(1.0, 0.5, 1.0), name="anti")
+
+
+def test_state_blow_up_names_population_iteration_and_knot():
+    # undamped with a fixed weight, the states overflow in the regression
+    # features; resample mixing takes no secant step that could damp it
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=20, n_paths=1024),
-                           theta=1.0)
+                           theta=1.0, mix="resample")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"population 0 at iteration "
                            r"\d+: knot \d+, max \|state\| "):
-            solve_matching(spec, cfg, seed=0)
+            solve_matching(_anti_coordination(-8.0), cfg, seed=0)
+
+
+@pytest.mark.parametrize("s, theta, budget", [
+    (-6.0, 0.5, 16),
+    (-3.0, 0.5, 24),
+    (-6.0, 1.0, 50),
+])
+def test_secant_step_damps_anti_coordination_games(s, theta, budget):
+    # with a fixed weight of 0.5 these games took 16 and 24 iterations, and
+    # with a fixed weight of 1 the s = -6 game overflowed at iteration 4
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=20, n_paths=1024),
+                           theta=theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solve_matching(_anti_coordination(s), cfg, seed=0)
+    assert report.converged
+    assert report.iterations <= budget
+
+
+def test_previous_solutions_released_before_next_solves(monkeypatch):
+    # only the fields are read as warm starts, so the paths and controls of
+    # one iteration must be gone when the next iteration's solves begin
+    real = fixedpoint.solve_adjoint
+    refs, stale, last = [], [], [None]
+
+    def tracked(spec, i, flows, *args, **kwargs):
+        if flows is not last[0]:
+            last[0] = flows
+            gc.collect()
+            stale.append(sum(r() is not None for r in refs))
+        sol = real(spec, i, flows, *args, **kwargs)
+        refs.extend((weakref.ref(sol.X), weakref.ref(sol.controls)))
+        return sol
+
+    monkeypatch.setattr(fixedpoint, "solve_adjoint", tracked)
+    spec = builtin_game("lq-2pop-competitive")
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
+    report = solve_matching(spec, cfg, seed=0)
+    assert len(stale) == report.iterations >= 3
+    assert stale == [0] * report.iterations
 
 
 def test_resample_mix_variant_converges():
@@ -106,6 +155,9 @@ def test_resample_mix_variant_converges():
                            mix="resample")
     report = solve_matching(spec, cfg, seed=0)
     assert report.converged
+    # no secant step and no halving here: every input mixed at theta0
+    assert [row.theta for row in report.history] == [0.5] * report.iterations
+    assert all(row.contraction is None for row in report.history)
 
 
 def test_worker_count_does_not_change_results():
@@ -117,6 +169,9 @@ def test_worker_count_does_not_change_results():
         for ca, cb in zip(a.flows[i].clouds, b.flows[i].clouds):
             assert np.array_equal(ca.points, cb.points)
     assert a.costs == b.costs
+    slopes = [row.contraction for row in a.history]
+    assert slopes == [row.contraction for row in b.history]
+    assert slopes[0] is None and slopes[1] is not None
 
 
 def test_truncation_at_huge_level_is_identity():
