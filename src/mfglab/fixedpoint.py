@@ -218,7 +218,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     halved_at = -10
     for iteration in range(1, cfg.max_iterations + 1):
         frozen = flows
-        solutions = None  # the next solves read only the fields kept below
+        solutions = None  # free the last paths; the solves read only fields
 
         def one(i):
             try:

@@ -120,8 +120,7 @@ def test_secant_step_damps_anti_coordination_games(s, theta, budget):
     # with a fixed weight of 1 the s = -6 game overflowed at iteration 4
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=20, n_paths=1024),
                            theta=theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = solve_matching(_anti_coordination(s), cfg, seed=0)
+    report = solve_matching(_anti_coordination(s), cfg, seed=0)
     assert report.converged
     assert report.iterations <= budget
 
@@ -145,7 +144,7 @@ def test_previous_solutions_released_before_next_solves(monkeypatch):
     spec = builtin_game("lq-2pop-competitive")
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
     report = solve_matching(spec, cfg, seed=0)
-    assert len(stale) == report.iterations >= 3
+    assert report.iterations >= 3
     assert stale == [0] * report.iterations
 
 
