@@ -21,7 +21,6 @@ Config schema (all blocks optional unless noted):
       fp_tol: 1.0e-3
       max_iterations: 50
       theta: 0.5
-      mix: paired             # or resample
       n_projections: 64
     experiment:               # parameters of the chosen subcommand
       kind: solve             # must match the subcommand when present
@@ -201,7 +200,6 @@ _FIELD_CHECKS = {
     "fp_tol": (_pick_float, {"low_open": 0.0}),
     "max_iterations": (_pick_int, {"low": 1}),
     "theta": (_pick_float, {"low_open": 0.0, "high": 1.0}),
-    "mix": (_pick_choice, {"choices": ("paired", "resample")}),
     "n_projections": (_pick_int, {"low": 1}),
 }
 
@@ -459,6 +457,10 @@ def cmd_chaos(plan, workers):
 
 def cmd_nash(plan, workers):
     exp = plan["experiment"]
+    if len(set(exp["sizes"])) < 3:
+        print("fewer than 3 system sizes: rate fits are not meaningful",
+              file=sys.stderr)
+        return 1
     # record the population the study deviates, also when the config
     # leaves it to the mode
     exp["population"], _ = _validate_mode(plan["game"], exp["mode"],
@@ -478,10 +480,6 @@ def cmd_nash(plan, workers):
         print("N=%d: min_gain=%.5g kappa=%.5g floor=%.5g" % (
             n, report.min_gain(n), report.kappa_by_N[n],
             report.kappa_floor_by_N[n]))
-    if len(set(report.N_list)) < 3:
-        print("fewer than 3 system sizes: rate fits are not meaningful",
-              file=sys.stderr)
-        return 1
     return 0
 
 

@@ -4,9 +4,8 @@ The map Phi sends a tuple of frozen flows to the empirical laws of the
 optimally controlled states, one adjoint solve per population, whose
 cooperation kind picks its adjoint equation. Equilibria are fixed points
 of Phi; the iteration mixes each new flow into the old one with a damping
-weight, under paired mixing picked by a secant step on the last two
-residuals Phi(F) - F, and stops when successive Phi outputs agree in flow
-distance.
+weight picked by a secant step on the last two residuals Phi(F) - F,
+and stops when successive Phi outputs agree in flow distance.
 """
 
 import dataclasses
@@ -30,7 +29,7 @@ from .measures import (
     truncate_phi_n,
 )
 from .model import COMPETITIVE
-from .rng import parallel_map, substream
+from .rng import parallel_map
 
 THETA_MIN = 1.0 / 32.0
 
@@ -41,12 +40,9 @@ class FixedPointConfig:
     fp_tol: float = 1e-3
     max_iterations: int = 50
     theta: float = 0.5
-    mix: str = "paired"
     n_projections: int = 64
 
     def __post_init__(self):
-        if self.mix not in ("paired", "resample"):
-            raise ValueError("mix must be 'paired' or 'resample'")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if self.n_projections < 1:
@@ -93,7 +89,6 @@ class EquilibriumReport:
             "initialization": "uncontrolled dynamics at the anchor control",
             "fp_tol": self.config.fp_tol,
             "theta0": self.config.theta,
-            "mix": self.config.mix,
             "n_paths": self.config.solver.n_paths,
             "n_steps": self.config.solver.n_steps,
             "history": [
@@ -138,32 +133,15 @@ def uncontrolled_flows(spec, n_steps, n_paths, seed):
             for rec in records]
 
 
-def _mix_flows(old, new, theta, mix, seed, iteration, index):
+def _mix_flows(old, new, theta):
+    """Particle by particle convex combination (1 - theta) old + theta new."""
     if theta >= 1.0:
         return new
-    grid = old.grid
-    if mix == "paired":
-        clouds = [
-            ParticleCloud(
-                (1.0 - theta) * old.clouds[k].points + theta * new.clouds[k].points
-            )
-            for k in range(len(grid))
-        ]
-        return MeasureFlow(grid, clouds)
-    rng = substream(seed, "mix:%d:%d" % (iteration, index))
-    n = new.clouds[0].n
-    clouds = []
-    for k in range(len(grid)):
-        take_new = rng.random(n) < theta
-        i_old = rng.integers(0, old.clouds[k].n, size=n)
-        i_new = rng.integers(0, n, size=n)
-        pts = np.where(
-            take_new[:, None],
-            new.clouds[k].points[i_new],
-            old.clouds[k].points[i_old],
-        )
-        clouds.append(ParticleCloud(pts))
-    return MeasureFlow(grid, clouds)
+    clouds = [
+        ParticleCloud((1.0 - theta) * o.points + theta * n.points)
+        for o, n in zip(old.clouds, new.clouds)
+    ]
+    return MeasureFlow(old.grid, clouds)
 
 
 def _delta_ratio(deltas):
@@ -199,10 +177,10 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     accordingly; inner solver failures propagate with the population index
     attached.
 
-    The first mixing weight is config.theta; under paired mixing each later
-    one is -1/j, clipped to [THETA_MIN, 1], for a secant slope j < 0 of
-    Phi - I, unless three rising deltas halve it. A history row holds the
-    weight that built its input and the secant estimate 1 + j of Phi's slope.
+    The first mixing weight is config.theta; each later one is -1/j,
+    clipped to [THETA_MIN, 1], for a secant slope j < 0 of Phi - I, unless
+    three rising deltas halve it. A history row holds the weight that built
+    its input and the secant estimate 1 + j of Phi's slope.
     """
     cfg = config if config is not None else FixedPointConfig()
     m = spec.n_populations
@@ -269,13 +247,13 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         ):
             theta = max(theta / 2.0, THETA_MIN)
             halved_at = iteration
-        elif cfg.mix == "paired" and iteration >= 2:
+        elif iteration >= 2:
             j = _secant_slope(prev_inputs, prev_outputs, frozen, outputs, theta)
             history[-1].contraction = 1.0 + j
             if j < 0.0:
                 theta = min(max(-1.0 / j, THETA_MIN), 1.0)
         flows = [
-            _mix_flows(flows[i], outputs[i], theta, cfg.mix, seed, iteration, i)
+            _mix_flows(flows[i], outputs[i], theta)
             for i in range(m)
         ]
         prev_inputs, prev_outputs = frozen, outputs

@@ -118,15 +118,6 @@ class MeasureFlow:
         self.clouds = clouds
         self.dim = clouds[0].dim
 
-    def __len__(self):
-        return len(self.clouds)
-
-    def __getitem__(self, k):
-        return self.clouds[k]
-
-    def __iter__(self):
-        return iter(self.clouds)
-
 
 def empirical_from_states(grid, states):
     """Build a flow from a (n_knots, n, d) array of particle paths."""

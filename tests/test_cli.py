@@ -73,12 +73,14 @@ def test_solve_nonconverged_exit_and_override(tmp_path, capsys):
 
 
 def test_unknown_field_pinpointed(tmp_path, capsys):
-    cfg = _write(tmp_path / "bad.yaml", _base_config(
-        tmp_path / "out", "experiment:\n  kind: solve\n  n_stepz: 3\n"))
-    assert main(["solve", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "experiment" in err
-    assert "n_stepz" in err
+    for extra, where in (
+        ("experiment:\n  kind: solve\n  n_stepz: 3\n", "experiment.n_stepz"),
+        ("fixed_point:\n  mix: paired\n", "fixed_point.mix"),
+    ):
+        cfg = _write(tmp_path / "bad.yaml",
+                     _base_config(tmp_path / "out", extra))
+        assert main(["solve", "--config", cfg]) == 2
+        assert "%s: unknown field" % where in capsys.readouterr().err
 
 
 def test_yaml_syntax_error_reported_with_position(tmp_path, capsys):
@@ -262,6 +264,21 @@ def test_chaos_requires_three_distinct_sizes(tmp_path, capsys):
         "  repetitions: 2\n"))
     assert main(["chaos", "--config", cfg]) == 1
     assert "fit refused" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nash_requires_three_distinct_sizes(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("nash solved before refusing its sizes")
+
+    monkeypatch.setattr("mfglab.cli.solve_matching", no_solve)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml", _base_config(
+        out,
+        "experiment:\n  kind: nash\n  sizes: [8, 8, 16]\n"
+        "  repetitions: 2\n"))
+    assert main(["nash", "--config", cfg]) == 1
+    assert "fewer than 3" in capsys.readouterr().err
     assert not out.exists()
 
 

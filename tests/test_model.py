@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from mfglab.measures import ParticleCloud
 from mfglab.model import (
     COMPETITIVE,
     COOPERATIVE,
+    ActionSet,
+    CoefficientError,
     builtin_game,
     builtin_library,
     gaussian_initial_law,
@@ -38,6 +42,39 @@ def test_unknown_builtin_error_lists_choices():
 def test_builtins_validate(name):
     report = validate_game(builtin_game(name), n_samples=50, seed=0)
     assert report.passed, [c.to_dict() for c in report.failures()]
+
+
+def _user_projection(fn):
+    return ActionSet(dimension=1, kind="user-projection", projection=fn)
+
+
+def test_user_projection_applies_the_map():
+    aset = _user_projection(lambda a: np.clip(a, -1.0, 1.0))
+    alphas = np.array([[-3.0], [0.25], [2.0]])
+    assert np.array_equal(aset.project(alphas), [[-1.0], [0.25], [1.0]])
+
+
+def test_user_projection_that_changes_shape_is_refused():
+    # keeps the one-row anchor check's shape, drops the column otherwise
+    aset = _user_projection(lambda a: a if len(a) == 1 else a[:, 0])
+    with pytest.raises(CoefficientError, match=r"user projection changed "
+                       r"shape \(3, 1\) -> \(3,\)"):
+        aset.project(np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("fn, passed", [
+    (lambda a: np.clip(a, -1.0, 1.0), True),
+    (lambda a: 0.5 * a, False),  # not idempotent
+])
+def test_validate_probes_a_user_projection(fn, passed):
+    spec = builtin_game("nonlq-box")
+    pops = tuple(dataclasses.replace(p, action_set=_user_projection(fn))
+                 for p in spec.populations)
+    report = validate_game(dataclasses.replace(spec, populations=pops),
+                           n_samples=50, seed=0)
+    check, = [c for c in report.checks if c.name == "action-projection"]
+    assert check.passed is passed
+    assert report.passed is passed
 
 
 def test_cooperation_kinds():
