@@ -78,7 +78,6 @@ from .nagent import (
     MODE_COOPERATIVE,
     MODE_MIXED_AGENT,
     MODE_MIXED_POPULATION,
-    AgentSystem,
     ChaosReport,
     Deviation,
     NashGapReport,
@@ -90,7 +89,6 @@ from .nagent import (
     eps_chaos_sq,
     nash_gap,
     nash_to_csv,
-    prepare_best_response,
     simulate_iid_copies,
     simulate_interacting,
 )

@@ -174,7 +174,11 @@ def _load_model(ref):
         spec.loader.exec_module(module)
         if not hasattr(module, "make_game"):
             raise ConfigError("model: %r defines no make_game()" % ref)
-        game = module.make_game()
+        try:
+            game = module.make_game()
+        except Exception as exc:
+            raise ConfigError("model: make_game() in %r failed: %s"
+                              % (ref, exc)) from exc
         if not hasattr(game, "populations"):
             raise ConfigError("model: make_game() in %r returned %s, not a game spec"
                               % (ref, _type_name(game)))
@@ -438,7 +442,7 @@ def cmd_solve(plan, workers, allow_nonconverged):
 
 def cmd_chaos(plan, workers):
     exp = plan["experiment"]
-    _chaos_sizes(exp["sizes"], exp["reference_factor"])
+    _chaos_sizes(exp["sizes"], exp["reference_factor"], exp["repetitions"])
     _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)

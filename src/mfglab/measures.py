@@ -19,8 +19,8 @@ class TimeGrid:
     def __init__(self, horizon, n_steps):
         horizon = float(horizon)
         n_steps = int(n_steps)
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < horizon < np.inf:  # NaN fails too
+            raise ValueError("horizon must be positive and finite")
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         self.horizon = horizon

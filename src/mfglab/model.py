@@ -57,12 +57,13 @@ class ModelConstants:
     growth_K: float
 
     def __post_init__(self):
-        if self.lipschitz_L < 0:
-            raise ValueError("lipschitz_L must be nonnegative")
-        if self.convexity_lambda <= 0:
-            raise ValueError("convexity_lambda must be positive")
-        if self.growth_K < 0:
-            raise ValueError("growth_K must be nonnegative")
+        # NaN and infinity fail too
+        if not 0 <= self.lipschitz_L < np.inf:
+            raise ValueError("lipschitz_L must be nonnegative and finite")
+        if not 0 < self.convexity_lambda < np.inf:
+            raise ValueError("convexity_lambda must be positive and finite")
+        if not 0 <= self.growth_K < np.inf:
+            raise ValueError("growth_K must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +325,8 @@ class GameSpec:
             if not isinstance(p, PopulationSpec):
                 raise ValueError("populations must be PopulationSpec instances")
         object.__setattr__(self, "populations", pops)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:  # NaN fails too
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def n_populations(self):

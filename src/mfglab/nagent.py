@@ -1,17 +1,19 @@
 """Finite-agent simulation: i.i.d. copies, interacting systems, chaos
 rates, and approximate-Nash gaps.
 
-In the i.i.d. and interacting simulators, and so in the Nash study,
-every agent owns an independent randomness bundle (initial draw plus
-Brownian increments) keyed by a stable tag, and systems always run in tag
-order, so simulations are nested across population sizes: the bundles
-of the N-agent i.i.d. system are a bitwise prefix of the larger one's,
-and its paths and costs match that prefix up to the rounding of the
-field evaluation, which depends on the batch size. The interacting system
-feeds live empirical clouds to the coefficients while controls always
-read the frozen equilibrium flows and decoupling fields. The chaos study
-needs no per-agent streams: it draws one system of the largest size per
-(repetition, population) in bulk, and each smaller size is its prefix.
+Each job has one simulator. simulate_iid_copies runs copies of the
+mean-field optimal state that read only the frozen equilibrium flows,
+with all their randomness drawn in bulk from the caller's stream; the
+chaos study draws one system of the largest size per (repetition,
+population) this way, and each smaller size is its prefix. n copies are
+not a prefix of more copies from the same stream.
+
+simulate_interacting runs the N-agent system of the Nash study: its
+coefficients read live empirical clouds while controls read the frozen
+equilibrium flows and decoupling fields. Every agent owns an independent
+randomness bundle (initial draw plus Brownian increments) keyed by a
+stable tag, and systems run in tag order, so the bundles of an N-agent
+system are a bitwise prefix of any larger one's.
 """
 
 import dataclasses
@@ -189,18 +191,22 @@ class AgentSystem:
     grid: object
     sizes: tuple
     paths: list
-    costs: list
+    costs: list = None  # interacting systems only
 
 
-def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
-                deviating=None, bundles=None):
-    """Simulate the coupled (or i.i.d.) agent system in tag order.
+def simulate_interacting(spec, equilibrium, N, seed=0, rep=0, deviating=None,
+                         bundles=None):
+    """Coupled Euler system of N agents per population (or N[i] in
+    population i), run in tag order: coefficients read per-knot empirical
+    clouds, controls read frozen equilibrium flows and decoupling fields.
 
     deviating: None or dict {pop index: (bool mask over tags, control fn)};
     the control fn is called as fn(k, t, X, mu, nus, alpha) with the
     equilibrium control alpha at X (see _deviation_fn).
     bundles: the (xis, dWs) of every tag, when already drawn.
     """
+    _require_converged(equilibrium)
+    sizes = _normalize_sizes(spec, N)
     m = spec.n_populations
     grid = equilibrium.flows[0].grid
     flows = equilibrium.flows
@@ -211,8 +217,8 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
         mask, dev_fn = deviating.get(i, (None, None))
 
         def fn(k, t, X, mu, nus):
-            # controls read the frozen flows, also where the coefficients
-            # read the live clouds
+            # controls read the frozen flows; only the coefficients read
+            # the live clouds
             mu, nus = measure_args(spec, i, [flow.clouds[k] for flow in flows])
             alpha = feedback(k, t, X, mu, nus)
             if mask is not None:
@@ -228,10 +234,10 @@ def _run_system(spec, equilibrium, sizes, seed, rep, interacting,
                                         seed, rep)
     records = euler_scheme(spec, grid, range(m), xis, dWs,
                            [control(i) for i in range(m)], flows,
-                           live=interacting, keep_controls=True)
+                           live=True, keep_controls=True)
     return AgentSystem(
         grid=grid,
-        sizes=tuple(sizes),
+        sizes=sizes,
         paths=[rec.paths for rec in records],
         costs=[_path_costs(spec, i, grid, *records[i]) for i in range(m)],
     )
@@ -251,26 +257,25 @@ def _require_converged(equilibrium):
         raise ValueError("equilibrium report is not converged")
 
 
-def simulate_iid_copies(spec, equilibrium, N, seed=0, rep=0):
-    """Independent copies of the mean-field optimal state, one per agent.
+def simulate_iid_copies(spec, equilibrium, i, n, rng):
+    """n i.i.d. copies of the mean-field optimal state of population i.
 
-    Both coefficients and controls read the frozen equilibrium flows, so
-    agents never interact. With the same seed, the N-agent system draws a
-    bitwise prefix of any larger system's bundles; its paths and costs
-    match that prefix up to the rounding of the field evaluation.
+    Coefficients and controls read the frozen equilibrium flows, so the
+    copies never interact. All initial draws and then all Brownian
+    increments are taken from rng in bulk, so n copies are not a prefix
+    of more copies from the same rng. paths[0] is (K+1, n, d).
     """
     _require_converged(equilibrium)
-    sizes = _normalize_sizes(spec, N)
-    return _run_system(spec, equilibrium, sizes, seed, rep, interacting=False)
-
-
-def simulate_interacting(spec, equilibrium, N, seed=0, rep=0, deviating=None):
-    """Coupled Euler system: coefficients read per-knot empirical clouds,
-    controls read frozen equilibrium flows and decoupling fields."""
-    _require_converged(equilibrium)
-    sizes = _normalize_sizes(spec, N)
-    return _run_system(spec, equilibrium, sizes, seed, rep, interacting=True,
-                       deviating=deviating)
+    pop = spec.populations[i]
+    grid = equilibrium.flows[0].grid
+    d = pop.state_dim
+    xi = np.asarray(pop.initial_law(rng, n), dtype=float).reshape(n, d)
+    dW = rng.standard_normal((grid.n_steps, n, d)) * np.sqrt(grid.dt)
+    paths = euler_scheme(
+        spec, grid, (i,), [xi], [dW],
+        [field_feedback(spec, i, equilibrium.solutions[i].field.eval)],
+        equilibrium.flows)[0].paths
+    return AgentSystem(grid, sizes=(n,), paths=[paths])
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +314,10 @@ class ChaosReport:
         }
 
 
-def _iid_bulk_flow(spec, equilibrium, i, n, rng):
-    """The (K+1, n, d) paths of one forward simulation of n i.i.d.
-    copies of population i, with all initial draws and then all Brownian
-    increments taken from rng in bulk. The chaos study draws both its
-    reference sample of the limit law and each repetition's system this
-    way; n copies are not a prefix of more copies from the same rng."""
-    pop = spec.populations[i]
-    grid = equilibrium.flows[0].grid
-    K = grid.n_steps
-    d = pop.state_dim
-    xi = np.asarray(pop.initial_law(rng, n), dtype=float).reshape(n, d)
-    dW = rng.standard_normal((K, n, d)) * np.sqrt(grid.dt)
-    return euler_scheme(
-        spec, grid, (i,), [xi], [dW],
-        [field_feedback(spec, i, equilibrium.solutions[i].field.eval)],
-        equilibrium.flows)[0].paths
-
-
-def _chaos_sizes(N_list, reference_factor):
+def _chaos_sizes(N_list, reference_factor, repetitions):
     """The sorted sizes of a chaos study; raises ValueError when one is
-    below 2, they cannot fit the rate or the reference is too coarse."""
+    below 2, they cannot fit the rate, the reference is too coarse or
+    fewer than 2 repetitions leave no standard error."""
     N_list = tuple(sorted(int(n) for n in N_list))
     if len(set(N_list)) < 3:
         raise ValueError(
@@ -340,6 +328,9 @@ def _chaos_sizes(N_list, reference_factor):
         raise ValueError("chaos sizes must be at least 2, got %d" % N_list[0])
     if reference_factor < 16:
         raise ValueError("reference resolution must be at least 16x max N")
+    if repetitions < 2:
+        raise ValueError("chaos needs at least 2 repetitions, got %d"
+                         % repetitions)
     return N_list
 
 
@@ -348,16 +339,17 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     """Empirical chaos rate: sup-knot mean squared W2 between the law of
     N i.i.d. copies and a high-resolution reference sample of the limit.
 
-    Each repetition draws one system of the largest N per population in
-    bulk, from its own substream, and every smaller N is a prefix of it.
+    Each repetition runs simulate_iid_copies once per population at the
+    largest N, from its own substream, and every smaller N is a prefix of
+    that system; the reference is drawn the same way.
     The reference uses reference_factor times the largest N (at least
     16x); a half-resolution reference is evaluated alongside as a bias
     self-check. In d = 1 each reference knot keeps only its quantile cells
     per N, so a W2 is one pass over N sorted points. Fitting needs at
-    least 3 distinct sizes, each at least 2.
+    least 3 distinct sizes, each at least 2, and at least 2 repetitions.
     """
     _require_converged(equilibrium)
-    N_list = _chaos_sizes(N_list, reference_factor)
+    N_list = _chaos_sizes(N_list, reference_factor, repetitions)
     n_max = N_list[-1]
     n_ref = int(reference_factor) * n_max
     m = spec.n_populations
@@ -371,7 +363,7 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     refs = []
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
-        X = _iid_bulk_flow(spec, equilibrium, i, n_ref, rng)
+        X = simulate_iid_copies(spec, equilibrium, i, n_ref, rng).paths[0]
         if spec.populations[i].state_dim == 1:
             refs.append([[(quantile_cells(ref, n), quantile_cells(half, n))
                           for n in N_list] for ref, half in (
@@ -392,8 +384,8 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
         full = np.empty((m, len(N_list), n_knots))
         half = np.empty((m, len(N_list), n_knots))
         for i in range(m):
-            X = _iid_bulk_flow(spec, equilibrium, i, n_max, substream(
-                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i)))
+            X = simulate_iid_copies(spec, equilibrium, i, n_max, substream(
+                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i))).paths[0]
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
                     cloud = ParticleCloud(X[k][:n])
@@ -610,8 +602,8 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
         # one bundle draw serves the baseline and every deviation
         bundles = _draw_bundles(spec, equilibrium.flows[0].grid,
                                 [range(size) for size in sizes], seed, rep)
-        baseline = _run_system(spec, equilibrium, sizes, seed, rep, True,
-                               bundles=bundles)
+        baseline = simulate_interacting(spec, equilibrium, sizes, seed, rep,
+                                        bundles=bundles)
         mask = np.full(sizes[target], unit == "population")
         mask[0] = True
         dev_rows = {}
@@ -620,9 +612,9 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
             if open_loop and dev.kind != "null":
                 dev_fn = _open_loop(spec, equilibrium, target, mask, bundles,
                                     dev_fn)
-            system = _run_system(spec, equilibrium, sizes, seed, rep, True,
-                                 deviating={target: (mask, dev_fn)},
-                                 bundles=bundles)
+            system = simulate_interacting(
+                spec, equilibrium, sizes, seed, rep,
+                deviating={target: (mask, dev_fn)}, bundles=bundles)
             # the deviating unit's mean cost change (one agent, or all)
             dev_rows[dev.ident] = float(system.costs[target][mask].mean()
                                         - baseline.costs[target][mask].mean())

@@ -127,6 +127,25 @@ def test_user_model_file_loaded(tmp_path):
     assert report["spec_name"] == "lq-scalar"
 
 
+@pytest.mark.parametrize("horizon", ["-1.0", "float('nan')"])
+def test_failing_user_model_is_a_config_error(tmp_path, capsys, horizon):
+    model = _write(tmp_path / "badmodel.py", (
+        "import dataclasses\n"
+        "from mfglab.model import builtin_game\n"
+        "def make_game():\n"
+        "    return dataclasses.replace(builtin_game('lq-scalar'),\n"
+        "                               horizon=%s)\n" % horizon
+    ))
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n" % (model, out))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert ("model: make_game() in %r failed: horizon must be positive"
+            % model) in err
+    assert not out.exists()
+
+
 _BAD_B0_MODEL = """
 import dataclasses
 

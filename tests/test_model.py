@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mfglab.measures import ParticleCloud
+from mfglab.measures import ParticleCloud, TimeGrid
 from mfglab.model import (
     COMPETITIVE,
     COOPERATIVE,
@@ -122,6 +122,18 @@ def test_split_crowd_initial_law_shape():
 
 def test_builtin_game_caches_instances():
     assert builtin_game("lq-1pop") is builtin_game("lq-1pop")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_non_finite_model_data_rejected_by_name(bad):
+    spec = builtin_game("lq-scalar")
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        dataclasses.replace(spec, horizon=bad)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        TimeGrid(bad, 10)
+    for name in ("lipschitz_L", "convexity_lambda", "growth_K"):
+        with pytest.raises(ValueError, match="%s must be" % name):
+            dataclasses.replace(spec.constants, **{name: bad})
 
 
 def test_lq_metadata_present_on_lq_builtins():

@@ -2,12 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfglab import hamiltonian, nagent
+from mfglab.fbsde import _path_costs, euler_scheme
 from mfglab.fixedpoint import solve_matching
-from mfglab.hamiltonian import minimize_controls
+from mfglab.hamiltonian import field_feedback, minimize_controls
 from mfglab.measures import (ParticleCloud, TimeGrid, cells_w2sq,
                              empirical_from_states, quantile_cells, sliced_w2,
                              sorted_slices)
@@ -52,40 +53,22 @@ def test_deviation_idents():
         Deviation("teleport")
 
 
-def test_iid_copies_are_prefix_stable():
-    spec = builtin_game("lq-1pop")
-    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
-    small = simulate_iid_copies(spec, eq, 16, seed=3)
-    large = simulate_iid_copies(spec, eq, 64, seed=3)
-    assert np.array_equal(small.paths[0], large.paths[0][:, :16, :])
-    assert np.array_equal(small.costs[0], large.costs[0][:16])
-
-
-@settings(max_examples=30, deadline=None)
-@example(small=22, extra=1, seed=16)
-@given(small=st.integers(1, 40), extra=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_iid_copies_match_any_prefix_up_to_rounding(small, extra, seed):
-    # the bundles are a bitwise prefix, but the field is evaluated on the
-    # whole batch, and BLAS may round a row differently for another size
-    spec = builtin_game("lq-bimodal")
-    eq = cached_equilibrium("lq-bimodal", n_steps=10, n_paths=512)
-    a = simulate_iid_copies(spec, eq, small, seed=seed)
-    b = simulate_iid_copies(spec, eq, small + extra, seed=seed)
-    for got, want in ((a.paths[0], b.paths[0][:, :small]),
-                      (a.costs[0], b.costs[0][:small])):
-        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
-
-
 def test_interacting_equals_iid_when_dynamics_ignore_the_measure():
     # the decoupled game reads no empirical statistics, so coupling the
-    # agents changes nothing
+    # agents changes nothing: the interacting system equals a frozen-flow
+    # Euler run on the same bundles
     spec = builtin_game("lq-scalar")
     eq = cached_equilibrium("lq-scalar", n_steps=10, n_paths=512)
-    a = simulate_iid_copies(spec, eq, 24, seed=1)
-    b = simulate_interacting(spec, eq, 24, seed=1)
-    assert np.array_equal(a.paths[0], b.paths[0])
-    assert np.array_equal(a.costs[0], b.costs[0])
+    grid = eq.flows[0].grid
+    bundles = nagent._draw_bundles(spec, grid, [range(24)], 1, 0)
+    frozen = euler_scheme(
+        spec, grid, (0,), *bundles,
+        [field_feedback(spec, 0, eq.solutions[0].field.eval)], eq.flows,
+        live=False, keep_controls=True)[0]
+    system = simulate_interacting(spec, eq, 24, seed=1)
+    assert np.array_equal(system.paths[0], frozen.paths)
+    assert np.array_equal(system.costs[0],
+                          _path_costs(spec, 0, grid, *frozen))
 
 
 def test_empirical_flow_matches_states():
@@ -108,7 +91,9 @@ def test_unconverged_equilibrium_rejected():
         seed=0,
     )
     with pytest.raises(ValueError, match="not converged"):
-        simulate_iid_copies(spec, bad, 8)
+        simulate_iid_copies(spec, bad, 0, 8, substream(0, "unconverged"))
+    with pytest.raises(ValueError, match="not converged"):
+        simulate_interacting(spec, bad, 8)
 
 
 def test_chaos_needs_three_sizes_and_deep_reference(monkeypatch):
@@ -116,9 +101,9 @@ def test_chaos_needs_three_sizes_and_deep_reference(monkeypatch):
     eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("chaos_rate simulated before checking sizes")
+        raise AssertionError("chaos_rate simulated before checking inputs")
 
-    monkeypatch.setattr(nagent, "_iid_bulk_flow", refuse)
+    monkeypatch.setattr(nagent, "simulate_iid_copies", refuse)
     for low in (0, -4):
         with pytest.raises(ValueError, match="at least 2, got %d" % low):
             chaos_rate(spec, eq, [low, 8, 16], repetitions=2)
@@ -126,6 +111,35 @@ def test_chaos_needs_three_sizes_and_deep_reference(monkeypatch):
         chaos_rate(spec, eq, [32, 32, 64], repetitions=2)
     with pytest.raises(ValueError, match="16x"):
         chaos_rate(spec, eq, [16, 32, 64], repetitions=2, reference_factor=8)
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 repetitions"):
+            chaos_rate(spec, eq, [16, 32, 64], repetitions=reps)
+
+
+def test_studies_run_the_public_simulators(monkeypatch):
+    spec = builtin_game("mixed-opec")
+    eq = cached_equilibrium("mixed-opec", n_steps=10, n_paths=512)
+    calls = {simulate_iid_copies: [], simulate_interacting: []}
+
+    def counted(fn, read):
+        def wrapper(*args, **kwargs):
+            calls[fn].append(read(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(nagent, fn.__name__, wrapper)
+
+    counted(simulate_iid_copies, lambda spec, eq, i, n, rng: (i, n))
+    counted(simulate_interacting, lambda spec, eq, N, seed, rep: (N, rep))
+    chaos_rate(spec, eq, [4, 6, 8], repetitions=3, seed=0)
+    # (population, size): a reference per population, then one largest
+    # system per population in each repetition, m x (1 + repetitions)
+    assert calls[simulate_iid_copies] == [(0, 128), (1, 128)] + [
+        (0, 8), (1, 8)] * 3
+    devs = (Deviation("shift", 0.2), Deviation("null"))
+    nash_gap(spec, eq, N_list=(4, 6), deviations=devs, repetitions=2, seed=0)
+    # (sizes, rep): the baseline and each deviation per (size, rep) task
+    assert calls[simulate_interacting] == [
+        (sizes, rep) for sizes in ((4, 4), (6, 6)) for rep in (0, 1)
+        for _ in range(1 + len(devs))]
 
 
 def test_chaos_report_small_run():
@@ -314,11 +328,11 @@ def _direct_chaos_w2sq(spec, eq, N_list, repetitions, seed, factor, w2sq):
     big = 0.0
     for i in range(m):
         rng = substream(seed, "nagent:reference:pop:%d" % i)
-        X = nagent._iid_bulk_flow(spec, eq, i, n_ref, rng)
+        X = simulate_iid_copies(spec, eq, i, n_ref, rng).paths[0]
         big = max(big, np.abs(X).max())
         for rep in range(repetitions):
-            paths = nagent._iid_bulk_flow(spec, eq, i, N_list[-1], substream(
-                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i)))
+            paths = simulate_iid_copies(spec, eq, i, N_list[-1], substream(
+                seed, "nagent:chaos:rep:%d:pop:%d" % (rep, i))).paths[0]
             big = max(big, np.abs(paths).max())
             for a, n in enumerate(N_list):
                 for k in range(n_knots):
