@@ -4,7 +4,7 @@ Two coupled populations: fixed point vs. ODE oracle
 
 Buyers and sellers each react to the other population's mean state. The
 fixed-point loop alternates adjoint solves against frozen flows until
-successive measure flows agree in sliced Wasserstein distance; for this
+successive measure flows agree particle by particle; for this
 linear-quadratic pair the equilibrium means also solve a small ODE
 system, which serves as the oracle.
 """

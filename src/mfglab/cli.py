@@ -21,7 +21,6 @@ Config schema (all blocks optional unless noted):
       fp_tol: 1.0e-3
       max_iterations: 50
       theta: 0.5
-      n_projections: 64
     experiment:               # parameters of the chosen subcommand
       kind: solve             # must match the subcommand when present
       ...                     # see the per-command field lists below
@@ -171,7 +170,11 @@ def _load_model(ref):
             raise ConfigError("model: file %r does not exist" % ref)
         spec = importlib.util.spec_from_file_location("mfglab_user_model", ref)
         module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        try:
+            spec.loader.exec_module(module)
+        except Exception as exc:
+            raise ConfigError("model: importing %r failed: %s"
+                              % (ref, exc)) from exc
         if not hasattr(module, "make_game"):
             raise ConfigError("model: %r defines no make_game()" % ref)
         try:
@@ -204,7 +207,6 @@ _FIELD_CHECKS = {
     "fp_tol": (_pick_float, {"low_open": 0.0}),
     "max_iterations": (_pick_int, {"low": 1}),
     "theta": (_pick_float, {"low_open": 0.0, "high": 1.0}),
-    "n_projections": (_pick_int, {"low": 1}),
 }
 
 
@@ -503,8 +505,7 @@ def cmd_truncation_study(plan, workers, allow_nonconverged):
         runs.append(report)
         all_converged = all_converged and report.converged
         for i, flow in enumerate(report.flows):
-            dist = flow_distance(flow, baseline.flows[i],
-                                 n_projections=plan["fixed_point"].n_projections)
+            dist = flow_distance(flow, baseline.flows[i])
             binding = report.truncation_binding[i]
             rows.append("%.17g,%d,%.17g,%d,%d,%d,%s" % (
                 level, i, dist, len(binding), sum(binding.values()),

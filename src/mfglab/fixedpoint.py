@@ -4,8 +4,12 @@ The map Phi sends a tuple of frozen flows to the empirical laws of the
 optimally controlled states, one adjoint solve per population, whose
 cooperation kind picks its adjoint equation. Equilibria are fixed points
 of Phi; the iteration mixes each new flow into the old one with a damping
-weight picked by a secant step on the last two residuals Phi(F) - F,
-and stops when successive Phi outputs agree in flow distance.
+weight picked by a secant step on the last two residuals Phi(F) - F.
+Each iteration solves a population from the same draws, so particle p
+of two successive Phi outputs is one path under two input flows; the
+iteration stops when the max over knots of their paired RMS gap is at
+most fp_tol. Pairing by index is a coupling, so that gap bounds W2, and
+so sliced W2, from above.
 """
 
 import dataclasses
@@ -15,6 +19,7 @@ import numpy as np
 
 from .fbsde import (
     SolverConfig,
+    _rms_gap,
     euler_scheme,
     optimal_cost,
     solve_adjoint,
@@ -25,7 +30,6 @@ from .measures import (
     ParticleCloud,
     TimeGrid,
     empirical_from_states,
-    flow_distance,
     truncate_phi_n,
 )
 from .model import COMPETITIVE
@@ -40,13 +44,10 @@ class FixedPointConfig:
     fp_tol: float = 1e-3
     max_iterations: int = 50
     theta: float = 0.5
-    n_projections: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.n_projections < 1:
-            raise ValueError("n_projections must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.fp_tol > 0.0:  # NaN fails too
@@ -170,12 +171,13 @@ def _secant_slope(prev_inputs, prev_outputs, inputs, outputs, theta):
 def solve_matching(spec, config=None, seed=0, workers=1):
     """Fixed-point iteration for the matching problem of a game.
 
-    Convergence is measured between successive Phi outputs per population;
-    the reported flows are the last Phi output, which by construction
-    equals the empirical laws of the final solutions' state paths. Returns
-    a report regardless of convergence, with the converged flag set
-    accordingly; inner solver failures propagate with the population index
-    attached.
+    Convergence is measured between successive Phi outputs per population
+    by the paired RMS gap, an upper bound on their W2 and sliced W2 (see
+    the module docstring); the reported flows are the last Phi output,
+    which by construction equals the empirical laws of the final
+    solutions' state paths. Returns a report regardless of convergence,
+    with the converged flag set accordingly; inner solver failures
+    propagate with the population index attached.
 
     The first mixing weight is config.theta; each later one is -1/j,
     clipped to [THETA_MIN, 1], for a secant slope j < 0 of Phi - I, unless
@@ -217,9 +219,8 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         solutions = parallel_map(one, list(range(m)), workers=workers)
         outputs = [empirical_from_states(sol.grid, sol.X) for sol in solutions]
         deltas = tuple(
-            flow_distance(
-                outputs[i], prev_outputs[i], n_projections=cfg.n_projections
-            )
+            max(_rms_gap(c.points, p.points)
+                for c, p in zip(outputs[i].clouds, prev_outputs[i].clouds))
             for i in range(m)
         )
         delta = max(deltas)

@@ -288,16 +288,13 @@ def sliced_w2(a, b, n_projections=64, seed=0, return_slices=False):
     return out
 
 
-def flow_distance(f1, f2, n_projections=64, seed=0):
+def flow_distance(f1, f2):
     """Max over knots of the cloud distance (exact in d = 1, sliced else)."""
     if f1.grid != f2.grid:
         raise ValueError("flows live on different time grids")
     if f1.dim != f2.dim:
         raise ValueError("flows have different state dimensions")
-    return max(
-        sliced_w2(c1, c2, n_projections=n_projections, seed=seed)
-        for c1, c2 in zip(f1.clouds, f2.clouds)
-    )
+    return max(sliced_w2(c1, c2) for c1, c2 in zip(f1.clouds, f2.clouds))
 
 
 def flow_to_csv(flow, path):

@@ -76,6 +76,7 @@ def test_unknown_field_pinpointed(tmp_path, capsys):
     for extra, where in (
         ("experiment:\n  kind: solve\n  n_stepz: 3\n", "experiment.n_stepz"),
         ("fixed_point:\n  mix: paired\n", "fixed_point.mix"),
+        ("fixed_point:\n  n_projections: 64\n", "fixed_point.n_projections"),
     ):
         cfg = _write(tmp_path / "bad.yaml",
                      _base_config(tmp_path / "out", extra))
@@ -143,6 +144,19 @@ def test_failing_user_model_is_a_config_error(tmp_path, capsys, horizon):
     err = capsys.readouterr().err
     assert ("model: make_game() in %r failed: horizon must be positive"
             % model) in err
+    assert not out.exists()
+
+
+def test_user_model_that_raises_on_import_is_a_config_error(tmp_path, capsys):
+    model = _write(tmp_path / "badmodel.py",
+                   "raise RuntimeError('boom at import')\n")
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: %s\nseed: 0\noutput_dir: %s\n" % (model, out))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "model: importing %r failed: boom at import" % model in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 import gc
+import os
+import runpy
 import weakref
 
 import numpy as np
 import pytest
 
-from mfglab import fixedpoint
+from mfglab import fixedpoint, measures
 from mfglab.fbsde import SolverConfig, lq_from_game, solve_lq_riccati
 from mfglab.fixedpoint import (
     FixedPointConfig,
@@ -14,7 +16,7 @@ from mfglab.fixedpoint import (
     write_history_csv,
 )
 from mfglab.measures import (empirical_from_states, flow_distance,
-                             wasserstein2_1d)
+                             sliced_w2, wasserstein2_1d)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, _lq1,
                           builtin_game, gaussian_initial_law,
                           population_from_lq)
@@ -23,6 +25,8 @@ from conftest import cached_equilibrium, fp_config
 
 
 SMALL = FixedPointConfig(solver=SolverConfig(n_steps=25, n_paths=1024))
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                      "models")
 
 
 def test_two_population_means_track_ode_oracle():
@@ -88,6 +92,46 @@ def test_nonconvergence_reported_not_raised():
     report = solve_matching(spec, cfg, seed=0)
     assert not report.converged
     assert report.iterations == 3
+
+
+@pytest.mark.parametrize("model", ["lq-2pop-competitive", "lq2d_mixed.py"])
+def test_delta_is_the_paired_gap_and_bounds_flow_distance(model, monkeypatch):
+    # each Phi output is recorded as it is built; iteration 1 compares
+    # with the uncontrolled flows, which come from the same draws
+    if model.endswith(".py"):
+        spec = runpy.run_path(os.path.join(MODELS, model))["make_game"]()
+    else:
+        spec = builtin_game(model)
+    outputs, sliced_calls = [], []
+
+    def recording(grid, states):
+        flow = empirical_from_states(grid, states)
+        outputs.append(flow)
+        return flow
+
+    def counting(*args, **kwargs):
+        sliced_calls.append(1)
+        return sliced_w2(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "empirical_from_states", recording)
+    monkeypatch.setattr(measures, "sliced_w2", counting)
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
+    report = solve_matching(spec, cfg, seed=0)
+    assert not sliced_calls
+    m = spec.n_populations
+    assert len(outputs) == m * report.iterations
+    prev = uncontrolled_flows(spec, 10, 512, 0)
+    for t, row in enumerate(report.history):
+        now = outputs[m * t:m * (t + 1)]
+        for i in range(m):
+            paired = max(
+                np.sqrt(np.mean(np.sum((a.points - b.points) ** 2, axis=1)))
+                for a, b in zip(now[i].clouds, prev[i].clouds))
+            assert row.deltas[i] == pytest.approx(paired, rel=1e-14, abs=0)
+            # in d = 1 the two agree up to rounding where the pairing is
+            # monotone at the worst knot
+            assert row.deltas[i] >= flow_distance(now[i], prev[i]) * (1 - 1e-12)
+        prev = now
 
 
 def _anti_coordination(s):
@@ -209,11 +253,6 @@ def test_truncation_level_must_be_positive():
 def test_config_validation():
     with pytest.raises(ValueError, match="theta"):
         FixedPointConfig(theta=0.0)
-
-
-def test_config_needs_a_projection():
-    with pytest.raises(ValueError, match="n_projections"):
-        FixedPointConfig(n_projections=0)
 
 
 @pytest.mark.parametrize("make, field, value", [
