@@ -323,8 +323,10 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
 
     field = None
     history = []
-    converged = False
-    for _ in range(cfg.max_picard):
+    while True:
+        # the pass after a sweep within picard_tol runs under its field, so
+        # the stored paths, controls and costs belong together
+        final = bool(history) and history[-1] <= cfg.picard_tol
         # the refit's old values are the field values behind the controls
         old_vals = []
 
@@ -332,9 +334,20 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
             old_vals.append(prev_eval(k, Xk))
             return old_vals[-1]
 
-        (X, _, measures), = euler_scheme(
-            spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, evaluate)],
-            flows, live=mkv)
+        (X, controls, measures), = euler_scheme(
+            spec, grid, (i,), [xi], [dW],
+            [field_feedback(spec, i, field.eval if final else evaluate)],
+            flows, live=mkv, keep_controls=final)
+        if final:
+            return FbsdeSolution(
+                grid=grid,
+                X=X,
+                controls=controls,
+                field=field,
+                costs=_path_costs(spec, i, grid, X, controls, measures),
+                picard_history=history,
+                seed=seed,
+            )
         old_vals.append(prev_eval(K, X[K]))
         new_field = DecouplingField(grid, d, cfg.degree)
         gaps = [0.0]
@@ -355,30 +368,12 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
             )
         field = new_field
         prev_eval = field.eval
-        if delta <= cfg.picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise PicardError(
-            "Picard iteration stalled at field change %g after %d rounds "
-            "(tolerance %g)" % (history[-1], len(history), cfg.picard_tol),
-            history,
-        )
-
-    # one forward pass under the converged field, so the stored paths,
-    # controls and costs belong together
-    (X, controls, measures), = euler_scheme(
-        spec, grid, (i,), [xi], [dW], [field_feedback(spec, i, field.eval)],
-        flows, live=mkv, keep_controls=True)
-    return FbsdeSolution(
-        grid=grid,
-        X=X,
-        controls=controls,
-        field=field,
-        costs=_path_costs(spec, i, grid, X, controls, measures),
-        picard_history=history,
-        seed=seed,
-    )
+        if delta > cfg.picard_tol and len(history) == cfg.max_picard:
+            raise PicardError(
+                "Picard iteration stalled at field change %g after %d rounds "
+                "(tolerance %g)" % (delta, len(history), cfg.picard_tol),
+                history,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,9 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     propagate with the population index attached.
 
     The first mixing weight is config.theta; each later one is -1/j,
-    clipped to [THETA_MIN, 1], for a secant slope j < 0 of Phi - I, unless
-    three rising deltas halve it. A history row holds the weight that built
-    its input and the secant estimate 1 + j of Phi's slope.
+    clipped to [THETA_MIN, 1], for a secant slope j < 0 of Phi - I, and the
+    previous one otherwise. A history row holds the weight that built its
+    input and the secant estimate 1 + j of Phi's slope.
     """
     cfg = config if config is not None else FixedPointConfig()
     m = spec.n_populations
@@ -192,10 +192,6 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     theta = cfg.theta
     history = []
     converged = False
-    outputs = None
-    costs = None
-    iteration = 0
-    halved_at = -10
     for iteration in range(1, cfg.max_iterations + 1):
         frozen = flows
         solutions = None  # free the last paths; the solves read only fields
@@ -240,15 +236,7 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         if delta <= cfg.fp_tol:
             converged = True
             break
-        all_d = [row.delta for row in history]
-        if (
-            len(all_d) >= 3
-            and all_d[-1] > all_d[-2] > all_d[-3]
-            and iteration - halved_at >= 2
-        ):
-            theta = max(theta / 2.0, THETA_MIN)
-            halved_at = iteration
-        elif iteration >= 2:
+        if iteration >= 2:
             j = _secant_slope(prev_inputs, prev_outputs, frozen, outputs, theta)
             history[-1].contraction = 1.0 + j
             if j < 0.0:
@@ -282,56 +270,48 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     )
 
 
+# per population part, the wrapped callables and the position of their mu
+_TRUNCATED_ARGS = {
+    "drift": dict(b0=1, b2=1),
+    "diffusion": dict(s0=1),
+    "cost": dict(g=1, dg_dx=1, dg_dmu=1, f=2, df_dx=2, df_dalpha=2,
+                 df_dmu=2, quad_linear=2, quad_const=2),
+}
+
+
 def _truncating_population(pop, level):
     """Wrap the designated coefficients so their measure arguments pass
     through the second-moment truncation first.
 
-    Competitive populations truncate both the own measure and the other
-    measures; cooperative ones keep the own (live) law untouched and
-    truncate only the others. Slope coefficients are never wrapped.
+    Wrapped: b0, b2, s0, f, df_dx, df_dalpha, df_dmu, quad_linear,
+    quad_const, g, dg_dx and dg_dmu, each when present. Unwrapped: the
+    slope coefficients b1 and s1 and the cooperative mean terms b1_bar and
+    s1_bar. Competitive populations truncate both the own measure and the
+    other measures; cooperative ones keep the own (live) law untouched and
+    truncate only the others.
     """
     n = float(level)
     trunc_own = pop.cooperation == COMPETITIVE
 
-    def wrap(mu, nus):
-        tmu = truncate_phi_n(mu, n) if trunc_own else mu
-        return tmu, tuple(truncate_phi_n(v, n) for v in nus)
+    def wrap(fn, at):
+        if fn is None:
+            return None
 
-    def wrap_t(fn):
-        def inner(t, mu, nus, *rest):
-            return fn(t, *wrap(mu, nus), *rest)
-
-        return inner
-
-    def wrap_txa(fn):
-        def inner(t, x, mu, nus, *rest):
-            return fn(t, x, *wrap(mu, nus), *rest)
+        def inner(*args):
+            mu, nus = args[at], args[at + 1]
+            tmu = truncate_phi_n(mu, n) if trunc_own else mu
+            tnus = tuple(truncate_phi_n(v, n) for v in nus)
+            return fn(*args[:at], tmu, tnus, *args[at + 2:])
 
         return inner
 
-    def wrap_term(fn):
-        def inner(x, mu, nus, *rest):
-            return fn(x, *wrap(mu, nus), *rest)
-
-        return inner
-
-    drift = dataclasses.replace(
-        pop.drift, b0=wrap_t(pop.drift.b0), b2=wrap_t(pop.drift.b2)
-    )
-    diffusion = dataclasses.replace(pop.diffusion, s0=wrap_t(pop.diffusion.s0))
-    cost_kw = {
-        "f": wrap_txa(pop.cost.f),
-        "df_dx": wrap_txa(pop.cost.df_dx),
-        "df_dalpha": wrap_txa(pop.cost.df_dalpha),
-        "g": wrap_term(pop.cost.g),
-        "dg_dx": wrap_term(pop.cost.dg_dx),
-    }
-    if pop.cost.df_dmu is not None:
-        cost_kw["df_dmu"] = wrap_txa(pop.cost.df_dmu)
-    if pop.cost.dg_dmu is not None:
-        cost_kw["dg_dmu"] = wrap_term(pop.cost.dg_dmu)
-    cost = dataclasses.replace(pop.cost, **cost_kw)
-    return dataclasses.replace(pop, drift=drift, diffusion=diffusion, cost=cost)
+    return dataclasses.replace(pop, **{
+        part: dataclasses.replace(getattr(pop, part), **{
+            name: wrap(getattr(getattr(pop, part), name), at)
+            for name, at in table.items()
+        })
+        for part, table in _TRUNCATED_ARGS.items()
+    })
 
 
 def _truncation_binding(spec, flows, level):

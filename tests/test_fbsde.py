@@ -150,6 +150,23 @@ def test_picard_failure_reports_history():
     assert "stalled" in str(err.value)
 
 
+def test_last_allowed_sweep_may_converge():
+    spec = builtin_game("lq-2pop-cooperative")
+    cfg = SolverConfig(n_steps=10, n_paths=512)
+    flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
+    free = solve_adjoint(spec, 0, flows, cfg, seed=0)
+    s = len(free.picard_history)
+    assert s >= 2
+    capped = solve_adjoint(
+        spec, 0, flows, dataclasses.replace(cfg, max_picard=s), seed=0)
+    assert capped.X.tobytes() == free.X.tobytes()
+    assert capped.costs.tobytes() == free.costs.tobytes()
+    with pytest.raises(PicardError) as err:
+        solve_adjoint(spec, 0, flows,
+                      dataclasses.replace(cfg, max_picard=s - 1), seed=0)
+    assert len(err.value.history) == s - 1
+
+
 def test_non_finite_field_change_stops_picard():
     # a terminal gradient that is NaN on the paths with x > 2 (about 2% of
     # them) makes NaN gaps, which a max starting from 0.0 would drop

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import runpy
@@ -9,14 +10,16 @@ import pytest
 from mfglab import fixedpoint, measures
 from mfglab.fbsde import SolverConfig, lq_from_game, solve_lq_riccati
 from mfglab.fixedpoint import (
+    THETA_MIN,
     FixedPointConfig,
     solve_matching,
     truncated_solve,
     uncontrolled_flows,
     write_history_csv,
 )
-from mfglab.measures import (empirical_from_states, flow_distance,
-                             sliced_w2, wasserstein2_1d)
+from mfglab.hamiltonian import minimize_controls
+from mfglab.measures import (ParticleCloud, empirical_from_states,
+                             flow_distance, sliced_w2, wasserstein2_1d)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, _lq1,
                           builtin_game, gaussian_initial_law,
                           population_from_lq)
@@ -169,6 +172,22 @@ def test_secant_step_damps_anti_coordination_games(s, theta, budget):
     assert report.iterations <= budget
 
 
+def test_secant_step_alone_sets_theta():
+    # this game's deltas rise three times in a row, where a stall rule
+    # would cut the weight; the secant step alone must set it
+    cfg = FixedPointConfig(solver=SolverConfig(n_steps=20, n_paths=1024),
+                           theta=0.5)
+    report = solve_matching(_anti_coordination(-6.0), cfg, seed=0)
+    rows = report.history
+    assert report.converged and len(rows) >= 4
+    assert rows[0].theta == 0.5
+    assert all(row.contraction is not None for row in rows[1:-1])
+    for prev, row in zip(rows[1:-1], rows[2:]):
+        j = prev.contraction - 1.0
+        want = min(max(-1.0 / j, THETA_MIN), 1.0) if j < 0.0 else prev.theta
+        assert row.theta == pytest.approx(want, rel=1e-12)
+
+
 def test_previous_solutions_released_before_next_solves(monkeypatch):
     # only the fields are read as warm starts, so the paths and controls of
     # one iteration must be gone when the next iteration's solves begin
@@ -242,6 +261,36 @@ def test_truncation_binding_counts_bound_clouds_of_the_input_flows():
     want = {str(k): 512 for k, m2 in enumerate(scales) if m2 > 1.13}
     assert 0 < len(want) < 11
     assert capped.truncation_binding == [want]
+
+
+def test_truncation_reaches_both_minimizers():
+    # lq-1pop's cost tilted by alpha * mean(mu): f, df_dalpha and the
+    # closed form's quad_linear all read the own measure, which at level 1
+    # truncates a cloud at 4.0 to one at 1.0
+    spec = builtin_game("lq-1pop")
+    pop = spec.populations[0]
+    base = pop.cost
+
+    def f(t, x, mu, nus, alpha):
+        return base.f(t, x, mu, nus, alpha) + alpha @ mu.mean
+
+    def df_dalpha(t, x, mu, nus, alpha):
+        return base.df_dalpha(t, x, mu, nus, alpha) + mu.mean
+
+    def quad_linear(t, x, mu, nus):
+        return base.quad_linear(t, x, mu, nus) + mu.mean
+
+    closed = dataclasses.replace(base, f=f, df_dalpha=df_dalpha,
+                                 quad_linear=quad_linear)
+    gradient = dataclasses.replace(closed, quadratic_in_alpha=False)
+    cloud = ParticleCloud(np.full((8, 1), 4.0))
+    zeros = np.zeros((8, 1))
+    for cost in (closed, gradient):
+        capped = fixedpoint._truncating_population(
+            dataclasses.replace(pop, cost=cost), 1.0)
+        game = dataclasses.replace(spec, populations=(capped,))
+        alpha = minimize_controls(game, 0, 0.0, zeros, cloud, (), zeros)
+        np.testing.assert_allclose(alpha, -1.0, rtol=1e-8)
 
 
 def test_truncation_level_must_be_positive():
