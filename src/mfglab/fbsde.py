@@ -3,11 +3,11 @@
 The forward/backward systems are solved by Picard iteration on the
 decoupling field: simulate states forward under the feedback induced by
 the current field, regress the adjoint variable backward by least-squares
-Monte Carlo on polynomial features, refit the field with damping, repeat
-until the field stops moving. Competitive populations read every measure
-argument from frozen input flows; the McKean-Vlasov variant feeds the
-live empirical law of the particle batch into the coefficients and adds
-the own-mean and measure-derivative driver terms.
+Monte Carlo on polynomial features, refit the field with a secant-step
+weight, repeat until the field stops moving. Competitive populations read
+every measure argument from frozen input flows; the McKean-Vlasov variant
+feeds the live empirical law of the particle batch into the coefficients
+and adds the own-mean and measure-derivative driver terms.
 
 Linear-quadratic models admit an independent oracle: matrix Riccati plus
 a coupled linear two-point boundary system for the means, integrated with
@@ -30,6 +30,8 @@ from .rng import substream
 
 @dataclass
 class SolverConfig:
+    """Solver sizes and Picard controls; damping opens a cold solve."""
+
     n_steps: int = 50
     n_paths: int = 4096
     degree: int = 2
@@ -48,6 +50,14 @@ class SolverConfig:
             raise ValueError("max_picard must be at least 1")
         if not self.picard_tol > 0.0:  # NaN fails too
             raise ValueError("picard_tol must be positive")
+
+
+THETA_MIN = 1.0 / 32.0
+
+
+def secant_weight(weight, j):
+    """Depth-1 Anderson step: -1/j clipped to [THETA_MIN, 1] if j < 0."""
+    return min(max(-1.0 / j, THETA_MIN), 1.0) if j < 0.0 else weight
 
 
 class PicardError(RuntimeError):
@@ -77,26 +87,39 @@ def _features(X, degree, mask):
 
 
 class KnotRegression:
-    """Least squares on the polynomial features of one knot's states,
-    factored once by a thin SVD and shared by every target on that basis.
+    """Least squares on the polynomial features F of one knot's states,
+    factored once and shared by every target on that basis.
 
-    solve gives np.linalg.lstsq's minimum-norm solution at its default
-    cutoff: singular values at or below eps * max(n, p) * s_max count as
-    zero, so rank-deficient and masked knots fit as lstsq fits them.
+    solve applies the inverse of G = F'F through that of its Cholesky
+    factor. Where the Cholesky fails or its diagonal spans more than 1e3 (a
+    singular G can pass with a rounding-level last pivot), a thin SVD gives
+    np.linalg.lstsq's minimum-norm solution at its default cutoff:
+    singular values at or below eps * max(n, p) * s_max count as zero, so
+    rank-deficient, masked and badly scaled knots fit as lstsq fits them.
     """
 
     def __init__(self, X, degree, mask=None):
         self.mask = _poly_mask(X) if mask is None else mask
         self.F = _features(X, degree, self.mask)
+        self.G = self.F.T @ self.F
+        try:
+            L = np.linalg.cholesky(self.G)
+            span = L.diagonal().max() / L.diagonal().min()
+        except np.linalg.LinAlgError:
+            span = np.inf
+        if span <= 1e3:  # a NaN span, from overflowed features, falls back
+            L_inv = np.linalg.inv(L)
+            self._left, self._right = self.F.T, L_inv.T @ L_inv
+            return
         U, s, Vt = np.linalg.svd(self.F, full_matrices=False)
         cutoff = np.finfo(float).eps * max(self.F.shape) * s[0]
         r = np.count_nonzero(s > cutoff)  # s descends: the kept ones lead
-        self._Ut = U[:, :r].T
-        self._V_over_s = Vt[:r].T / s[:r]
+        self._left = U[:, :r].T
+        self._right = Vt[:r].T / s[:r]
 
     def solve(self, targets):
         """Coefficients (p, m) and fitted values (n, m) of targets (n, m)."""
-        beta = self._V_over_s @ (self._Ut @ targets)
+        beta = self._right @ (self._left @ targets)
         return beta, self.F @ beta
 
 
@@ -114,12 +137,17 @@ class DecouplingField:
         self.degree = degree
         self.coeffs = [None] * len(grid)
         self.masks = [None] * len(grid)
+        self.weight = None  # the mixing weight of the sweep that built it
 
-    def fit_knot(self, k, fit, targets):
-        """Fit knot k on a KnotRegression of its states; the fitted values."""
-        self.coeffs[k], fitted = fit.solve(targets)
+    def fit_knot(self, k, fit, old, Y):
+        """Fit knot k to the old values; the step beta_Y - beta_old and
+        a.a, a.b, b.b for a = fitted old - old, b = fitted Y - fitted old."""
+        self.coeffs[k], fitted_old = fit.solve(old)
         self.masks[k] = fit.mask
-        return fitted
+        beta_y, fitted_y = fit.solve(Y)
+        a, b = fitted_old - old, fitted_y - fitted_old
+        return beta_y - self.coeffs[k], (np.vdot(a, a), np.vdot(a, b),
+                                         np.vdot(b, b))
 
     def eval(self, k, X):
         if self.coeffs[k] is None:
@@ -142,6 +170,7 @@ class FbsdeSolution:
     field: DecouplingField
     costs: np.ndarray  # per-path running plus terminal cost of the paths X
     picard_history: list = dc_field(default_factory=list)
+    picard_dampings: list = dc_field(default_factory=list)
     seed: int = 0
 
 
@@ -300,6 +329,12 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
     flows. A cooperative population is solved as a McKean-Vlasov problem:
     its own law is the live empirical law of the simulated batch, and its
     own entry of flows only initializes the first terminal field.
+
+    A sweep moves each knot's coefficients from beta_old, the fit of the
+    old field values, to beta_old + c (beta_Y - beta_old). c opens at
+    config.damping, or at the weight that built initial_field; then the
+    secant slope j of secant_weight is taken on the steps beta_Y - beta_old
+    of the last two sweeps, paired knot by knot in each knot's Gram metric.
     """
     pop = spec.populations[i]
     mkv = pop.cooperation == COOPERATIVE
@@ -313,16 +348,15 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
 
     muT, nusT = measure_args(spec, i, [flow.clouds[K] for flow in flows])
 
-    def init_eval(k, Xk):
-        return _terminal_adjoint(spec, i, Xk, muT, nusT)
-
-    if initial_field is not None and initial_field.grid == grid:
-        prev_eval = initial_field.eval
-    else:
-        prev_eval = init_eval
+    warm = initial_field is not None and initial_field.grid == grid
+    weight = initial_field.weight if warm else cfg.damping
+    prev_eval = initial_field.eval if warm else (
+        lambda k, Xk: _terminal_adjoint(spec, i, Xk, muT, nusT))
 
     field = None
     history = []
+    weights = []
+    steps = [None] * (K + 1)
     while True:
         # the pass after a sweep within picard_tol runs under its field, so
         # the stored paths, controls and costs belong together
@@ -340,25 +374,33 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
             flows, live=mkv, keep_controls=final)
         if final:
             return FbsdeSolution(
-                grid=grid,
-                X=X,
-                controls=controls,
-                field=field,
+                grid=grid, X=X, controls=controls, field=field,
                 costs=_path_costs(spec, i, grid, X, controls, measures),
-                picard_history=history,
-                seed=seed,
-            )
+                picard_history=history, picard_dampings=weights, seed=seed)
         old_vals.append(prev_eval(K, X[K]))
         new_field = DecouplingField(grid, d, cfg.degree)
-        gaps = [0.0]
+        prev_steps, steps = steps, [None] * (K + 1)
+        terms = np.empty((K + 1, 3))
+        secant = [0.0, 0.0]
 
         def refit(k, fit, Yk):
-            target = (1.0 - cfg.damping) * old_vals[k] + cfg.damping * Yk
-            fitted = new_field.fit_knot(k, fit, target)
-            gaps.append(_rms_gap(fitted, old_vals[k]))
+            steps[k], terms[k] = new_field.fit_knot(k, fit, old_vals[k], Yk)
+            prev = prev_steps[k]
+            if prev is not None and prev.shape == steps[k].shape:
+                g_prev = fit.G @ prev
+                secant[0] += np.vdot(g_prev, steps[k] - prev)
+                secant[1] += np.vdot(g_prev, prev)
 
         _backward(spec, i, grid, X, dW, measures, cfg.degree, refit)
-        delta = float(np.max(gaps))  # a NaN gap makes the delta NaN
+        if secant[1] > 0.0:
+            weight = secant_weight(weight, secant[0] / (weight * secant[1]))
+        for k, step in enumerate(steps):
+            new_field.coeffs[k] += weight * step
+        new_field.weight = weight
+        weights.append(weight)
+        # the field moves by a + weight b on knot k; NaN gaps give a NaN delta
+        sq = np.maximum(terms @ [1.0, 2.0 * weight, weight**2], 0.0)
+        delta = float(np.sqrt(np.max(sq) / len(X[0])))
         history.append(delta)
         if not np.isfinite(delta):
             raise PicardError(

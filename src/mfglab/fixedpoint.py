@@ -18,10 +18,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fbsde import (
+    THETA_MIN,
     SolverConfig,
     _rms_gap,
     euler_scheme,
     optimal_cost,
+    secant_weight,
     solve_adjoint,
     solver_draws,
 )
@@ -34,8 +36,6 @@ from .measures import (
 )
 from .model import COMPETITIVE
 from .rng import parallel_map
-
-THETA_MIN = 1.0 / 32.0
 
 
 @dataclass
@@ -62,6 +62,7 @@ class HistoryRow:
     deltas: tuple
     costs: tuple
     picard_iterations: tuple
+    picard_dampings: tuple = ()
     contraction: float = None
 
 
@@ -100,6 +101,7 @@ class EquilibriumReport:
                     "deltas": list(row.deltas),
                     "costs": list(row.costs),
                     "picard_iterations": list(row.picard_iterations),
+                    "picard_dampings": [list(w) for w in row.picard_dampings],
                     "contraction": row.contraction,
                 }
                 for row in self.history
@@ -221,26 +223,18 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         )
         delta = max(deltas)
         costs = [optimal_cost(sol) for sol in solutions]
-        history.append(
-            HistoryRow(
-                iteration=iteration,
-                delta=delta,
-                theta=theta,
-                deltas=deltas,
-                costs=tuple(c[0] for c in costs),
-                picard_iterations=tuple(
-                    len(sol.picard_history) for sol in solutions
-                ),
-            )
-        )
+        history.append(HistoryRow(
+            iteration=iteration, delta=delta, theta=theta, deltas=deltas,
+            costs=tuple(c[0] for c in costs),
+            picard_iterations=tuple(len(s.picard_history) for s in solutions),
+            picard_dampings=tuple(s.picard_dampings for s in solutions)))
         if delta <= cfg.fp_tol:
             converged = True
             break
         if iteration >= 2:
             j = _secant_slope(prev_inputs, prev_outputs, frozen, outputs, theta)
             history[-1].contraction = 1.0 + j
-            if j < 0.0:
-                theta = min(max(-1.0 / j, THETA_MIN), 1.0)
+            theta = secant_weight(theta, j)
         flows = [
             _mix_flows(flows[i], outputs[i], theta)
             for i in range(m)

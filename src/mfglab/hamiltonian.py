@@ -117,15 +117,14 @@ def _mean_over_copies(call, V, chunk=2048):
     """Average a copy-indexed measure derivative over the copy batch.
 
     call(v_chunk) must return (n_copies, nv_chunk, d) or (n_copies, 1, d)
-    when the derivative does not depend on the direction point.
+    when the derivative does not depend on the direction point; such a
+    derivative is called and averaged once, on the first chunk.
     """
     outs = []
     for s in range(0, len(V), chunk):
-        block = V[s : s + chunk]
-        D = np.asarray(call(block), dtype=float)
-        mean = D.mean(axis=0)
-        if mean.shape[0] == 1 and len(block) > 1:
-            mean = np.broadcast_to(mean, (len(block), mean.shape[1]))
+        mean = np.asarray(call(V[s : s + chunk]), dtype=float).mean(axis=0)
+        if mean.shape[0] == 1:
+            return np.broadcast_to(mean, (len(V), mean.shape[1]))
         outs.append(mean)
     return np.concatenate(outs, axis=0)
 

@@ -396,11 +396,9 @@ def test_dx_hamiltonian_is_the_state_gradient_of_the_full_hamiltonian():
         np.testing.assert_allclose(dx[:, c], fd, rtol=1e-6, atol=1e-8)
 
 
-def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
-    spec = builtin_game("lq-1pop")
-    cfg = SolverConfig(n_steps=10, n_paths=512)
-    flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
-    calls = {"svd": 0, "lstsq": 0, "solve": 0}
+def _count_linalg(monkeypatch, *names):
+    """Live call counts of the named np.linalg functions."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         orig = getattr(np.linalg, name)
@@ -411,16 +409,50 @@ def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
 
         return call
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
+    spec = builtin_game("lq-1pop")
+    cfg = SolverConfig(n_steps=10, n_paths=512)
+    flows = uncontrolled_flows(spec, cfg.n_steps, cfg.n_paths, 0)
+    calls = _count_linalg(monkeypatch, "cholesky", "svd", "lstsq", "solve")
     sol = solve_adjoint(spec, 0, flows, cfg, seed=0)
     sweeps = len(sol.picard_history)
     assert sweeps >= 2
     # every Picard sweep factors knots 0..K once (knot K for the refit
-    # only); the final forward pass factors none
-    assert calls["svd"] == sweeps * (cfg.n_steps + 1)
+    # only), by Cholesky or by the SVD it falls back to; the final forward
+    # pass factors none
+    assert calls["cholesky"] + calls["svd"] == sweeps * (cfg.n_steps + 1)
     assert calls["lstsq"] == 0
     assert calls["solve"] == 0
+
+
+@pytest.mark.parametrize("case", ["two-valued", "badly-scaled"])
+def test_ill_conditioned_knots_take_the_svd_path(case, monkeypatch):
+    # a two-valued knot's degree-2 Gram matrix is singular, and one at
+    # states of order 1e-4 spans seven decades; both must fit as lstsq does
+    calls = _count_linalg(monkeypatch, "cholesky", "svd")
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 4097))
+        if case == "two-valued":
+            X, degree, _ = _knot_sample(rng, case, 1, 2, n)
+        else:
+            X, degree = 2e-4 * rng.standard_normal((n, 1)), 2
+        targets = rng.standard_normal((n, 2)) + X ** 2
+        fit = KnotRegression(X, degree)
+        assert calls["svd"] == seed + 1
+        beta_ref = np.linalg.lstsq(fit.F, targets, rcond=None)[0]
+        beta, fitted = fit.solve(targets)
+        np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(beta_ref).max())
+        fitted_ref = fit.F @ beta_ref
+        np.testing.assert_allclose(fitted, fitted_ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(fitted_ref).max())
+    assert calls["cholesky"] == 200
 
 
 def _knot_sample(rng, case, d, degree, n):

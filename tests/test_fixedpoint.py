@@ -188,6 +188,22 @@ def test_secant_step_alone_sets_theta():
         assert row.theta == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["lq-1pop", "mixed-opec"])
+def test_picard_weights_open_cold_at_damping_and_warm_at_the_last(name):
+    report = cached_equilibrium(name)
+    rows = report.to_dict()["history"]
+    first = rows[0]["picard_dampings"]
+    assert all(w[0] == report.config.solver.damping for w in first)
+    if name == "lq-1pop":
+        assert len(first[0]) <= 5  # 7 sweeps at a fixed weight of 0.5
+    for prev, row in zip([None] + rows, rows):
+        for i, weights in enumerate(row["picard_dampings"]):
+            assert len(weights) == row["picard_iterations"][i]
+            assert all(THETA_MIN <= w <= 1.0 for w in weights)
+            if prev is not None:
+                assert weights[0] == prev["picard_dampings"][i][-1]
+
+
 def test_previous_solutions_released_before_next_solves(monkeypatch):
     # only the fields are read as warm starts, so the paths and controls of
     # one iteration must be gone when the next iteration's solves begin

@@ -5,6 +5,7 @@ import pytest
 
 from mfglab.hamiltonian import (
     MinimizeError,
+    dmu_hamiltonian_batch,
     dx_hamiltonian_batch,
     minimize_controls,
     reduced_hamiltonian,
@@ -204,3 +205,33 @@ def test_box_with_non_diagonal_curvature_runs_projected_gradient():
     for p in range(len(X)):
         assert vi_residual(spec, 0, 0.3, X[p], mu, (), Y[p], alpha[p],
                            seed=p) <= 1e-8
+
+
+def test_direction_free_measure_derivative_called_once_per_batch():
+    # a df_dmu of shape (n_copies, 1, d) does not read its direction
+    # points, so a batch longer than one chunk averages it only once
+    spec = builtin_game("lq-2pop-cooperative")
+    pop = spec.populations[0]
+    calls = []
+
+    def df_dmu(*args):
+        calls.append(1)
+        return pop.cost.df_dmu(*args)
+
+    counted = dataclasses.replace(spec, populations=(
+        dataclasses.replace(pop, cost=dataclasses.replace(
+            pop.cost, df_dmu=df_dmu)),) + spec.populations[1:])
+    rng = np.random.default_rng(0)
+    mu, nus, X, Y = _sample(spec, 0, rng, n=4096)
+    alpha = minimize_controls(spec, 0, 0.5, X, mu, nus, Y)
+    out = np.zeros_like(X)
+    assert np.shape(pop.cost.df_dmu(0.5, X, mu, nus, alpha, X)) == (4096, 1, 1)
+    calls.clear()
+    got = dmu_hamiltonian_batch(counted, 0, 0.5, X, mu, nus, alpha, X,
+                                Y.mean(axis=0), None, out)
+    assert len(calls) == 1
+    # the same copies with one direction point
+    want = dmu_hamiltonian_batch(spec, 0, 0.5, X, mu, nus, alpha, X[:1],
+                                 Y.mean(axis=0), None, out[:1])
+    assert got.shape == X.shape
+    np.testing.assert_array_equal(got, np.broadcast_to(want, X.shape))

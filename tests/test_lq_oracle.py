@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import runpy
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mfglab.fbsde import (
     lq_from_game,
     solve_lq_riccati,
 )
+from mfglab.fixedpoint import FixedPointConfig, solve_matching
 from mfglab.measures import TimeGrid
 from mfglab.model import COMPETITIVE, COOPERATIVE, builtin_game, population_from_lq
 from mfglab.model import GameSpec, ModelConstants, StructuralFlags
@@ -135,3 +138,23 @@ def test_oracle_mean_matches_uncoupled_expectation():
     grid = TimeGrid(1.0, 50)
     sol = solve_lq_riccati(lq_from_game(spec), grid)
     assert np.max(np.abs(sol.means_on(grid, 0))) <= 1e-12
+
+
+def test_lq2d_mixed_means_match_riccati():
+    # the only 2-d game: non-diagonal A, correlated sigma and cross-
+    # population S_bar, so it checks the d x d Z regression and the
+    # cross-term features against the matrix Riccati oracle, at
+    # acceptance 2's budget
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                        "models", "lq2d_mixed.py")
+    spec = runpy.run_path(path)["make_game"]()
+    report = solve_matching(spec, FixedPointConfig(), seed=0)
+    assert report.converged
+    grid = report.flows[0].grid
+    oracle = solve_lq_riccati(lq_from_game(spec), grid)
+    for i in range(spec.n_populations):
+        assert spec.populations[i].state_dim == 2
+        emp = np.array([c.points.mean(axis=0) for c in report.flows[i].clouds])
+        target = oracle.means_on(grid, i)
+        budget = 3e-2 * (1.0 + float(np.abs(target).max()))
+        assert float(np.abs(emp - target).max()) <= budget
