@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fbsde import (
-    THETA_MIN,
     SolverConfig,
     _rms_gap,
     euler_scheme,
@@ -62,7 +61,7 @@ class HistoryRow:
     deltas: tuple
     costs: tuple
     picard_iterations: tuple
-    picard_dampings: tuple = ()
+    picard_dampings: tuple
     contraction: float = None
 
 
@@ -181,10 +180,11 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     with the converged flag set accordingly; inner solver failures
     propagate with the population index attached.
 
-    The first mixing weight is config.theta; each later one is -1/j,
-    clipped to [THETA_MIN, 1], for a secant slope j < 0 of Phi - I, and the
-    previous one otherwise. A history row holds the weight that built its
-    input and the secant estimate 1 + j of Phi's slope.
+    The first mixing weight is config.theta; each later one is
+    fbsde.secant_weight's -1/j, clipped to [THETA_MIN, 1], for a secant
+    slope j < 0 of Phi - I, and the previous one otherwise. A history row
+    holds the weight that built its input and the secant estimate 1 + j of
+    Phi's slope.
     """
     cfg = config if config is not None else FixedPointConfig()
     m = spec.n_populations

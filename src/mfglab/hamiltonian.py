@@ -118,12 +118,14 @@ def _mean_over_copies(call, V, chunk=2048):
 
     call(v_chunk) must return (n_copies, nv_chunk, d) or (n_copies, 1, d)
     when the derivative does not depend on the direction point; such a
-    derivative is called and averaged once, on the first chunk.
+    derivative is called and averaged once, on the first chunk. A one-row
+    result from a one-row chunk is that point's own value.
     """
     outs = []
     for s in range(0, len(V), chunk):
-        mean = np.asarray(call(V[s : s + chunk]), dtype=float).mean(axis=0)
-        if mean.shape[0] == 1:
+        block = V[s : s + chunk]
+        mean = np.asarray(call(block), dtype=float).mean(axis=0)
+        if mean.shape[0] == 1 < len(block):
             return np.broadcast_to(mean, (len(V), mean.shape[1]))
         outs.append(mean)
     return np.concatenate(outs, axis=0)

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from mfglab import fixedpoint, measures
-from mfglab.fbsde import SolverConfig, lq_from_game, solve_lq_riccati
-from mfglab.fixedpoint import (
+from mfglab.fbsde import (
     THETA_MIN,
+    SolverConfig,
+    lq_from_game,
+    solve_lq_riccati,
+)
+from mfglab.fixedpoint import (
     FixedPointConfig,
     solve_matching,
     truncated_solve,

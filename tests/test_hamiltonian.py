@@ -235,3 +235,29 @@ def test_direction_free_measure_derivative_called_once_per_batch():
                                  Y.mean(axis=0), None, out[:1])
     assert got.shape == X.shape
     np.testing.assert_array_equal(got, np.broadcast_to(want, X.shape))
+
+
+def test_direction_dependent_measure_derivative_keeps_a_one_row_last_chunk():
+    # at 2049 direction points the second chunk has one row; a df_dmu of
+    # shape (n_copies, nv, d) must still be averaged point by point there
+    spec = builtin_game("lq-2pop-cooperative")
+    pop = spec.populations[0]
+
+    def df_dmu(t, X, mu, nus, alpha, v):
+        base = np.asarray(pop.cost.df_dmu(t, X, mu, nus, alpha, v))
+        return base + X[:, None, :] * np.sin(v)[None, :, :]
+
+    varying = dataclasses.replace(spec, populations=(
+        dataclasses.replace(pop, cost=dataclasses.replace(
+            pop.cost, df_dmu=df_dmu)),) + spec.populations[1:])
+    rng = np.random.default_rng(0)
+    mu, nus, X, Y = _sample(spec, 0, rng, n=64)
+    alpha = minimize_controls(spec, 0, 0.5, X, mu, nus, Y)
+    V = rng.standard_normal((2049, 1))
+    got = dmu_hamiltonian_batch(varying, 0, 0.5, X, mu, nus, alpha, V,
+                                Y.mean(axis=0), None, np.zeros_like(V))
+    want = (dmu_hamiltonian_batch(spec, 0, 0.5, X, mu, nus, alpha, V,
+                                  Y.mean(axis=0), None, np.zeros_like(V))
+            + (X[:, None, :] * np.sin(V)[None, :, :]).mean(axis=0))
+    assert got.shape == V.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
