@@ -158,3 +158,19 @@ def test_lq2d_mixed_means_match_riccati():
         target = oracle.means_on(grid, i)
         budget = 3e-2 * (1.0 + float(np.abs(target).max()))
         assert float(np.abs(emp - target).max()) <= budget
+
+
+def test_nonlq_box_cost_matches_hjb_value():
+    # the only check of the iterative minimizer path that does not run the
+    # solver's own code: mfgbench's explicit finite-difference HJB value of
+    # the box-constrained cosh-cost problem, at the benchmark's limit in
+    # standard errors of the solver's Monte Carlo cost
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                        "checks.py")
+    checks = runpy.run_path(path)
+    report = solve_matching(builtin_game("nonlq-box"), FixedPointConfig(),
+                            seed=0)
+    assert report.converged
+    mean, se = report.costs[0]
+    gap = abs(mean - checks["hjb_box_value"]())
+    assert gap <= checks["COST_SE_MULTIPLE"] * se
