@@ -196,7 +196,7 @@ def _check_flows(spec, flows, grid):
 
 def _sigma_dw(pop, t, X, mu, nus, dWk):
     s0 = np.asarray(pop.diffusion.s0(t, mu, nus), dtype=float)
-    out = dWk @ s0.T
+    out = np.dot(dWk, s0.T)  # not @, which skips BLAS at d = 1
     if pop.diffusion.s1 is not None:
         s1 = np.asarray(pop.diffusion.s1(t, mu, nus), dtype=float)
         sig = np.einsum("jlm,nm->njl", s1, X)

@@ -364,6 +364,7 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
                        label=""):
     """Build a PopulationSpec whose callables realize an LQ data block."""
     d, k = lq.dim_x, lq.dim_a
+    # np.dot, not @: @ skips BLAS when d or k is 1 (see hamiltonian.py)
 
     def _target(mu, nus, M, name, const):
         tgt = M @ mu.mean + const
@@ -393,10 +394,10 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
 
     def df_dx(t, x, mu, nus, alpha):
         e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
-        return e @ lq.W
+        return np.dot(e, lq.W)
 
     def df_dalpha(t, x, mu, nus, alpha):
-        return alpha @ lq.R
+        return np.dot(alpha, lq.R)
 
     def g(x, mu, nus):
         e = x - _target(mu, nus, lq.G, "G_bar", lq.h)[None, :]
@@ -404,7 +405,7 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
 
     def dg_dx(x, mu, nus):
         e = x - _target(mu, nus, lq.G, "G_bar", lq.h)[None, :]
-        return e @ lq.Wg
+        return np.dot(e, lq.Wg)
 
     def quad_linear(t, x, mu, nus):
         return np.zeros((x.shape[0], k))
@@ -423,13 +424,11 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
 
         def df_dmu(t, x, mu, nus, alpha, v):
             e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
-            out = -(e @ lq.W) @ lq.S
-            return out[:, None, :]
+            return -np.dot(np.dot(e, lq.W), lq.S)[:, None, :]
 
         def dg_dmu(x, mu, nus, v):
             e = x - _target(mu, nus, lq.G, "G_bar", lq.h)[None, :]
-            out = -(e @ lq.Wg) @ lq.G
-            return out[:, None, :]
+            return -np.dot(np.dot(e, lq.Wg), lq.G)[:, None, :]
 
     if action_set is None:
         action_set = ActionSet(dimension=k)
