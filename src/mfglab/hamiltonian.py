@@ -34,9 +34,9 @@ def minimize_controls(spec, i, t, X, mu, nus, Y, tol=1e-10, max_iter=10000):
     runs a spectral projected gradient: each row steps by its
     Barzilai-Borwein s's/s'y clipped to [1/(lambda + L), 1/lambda] (by
     1/(lambda + L) first and where s'y <= 0) until every update norm is
-    at most tol. The update norm grows with the step, so the returned
-    start point of that update passes the fixed-step test too. Raises
-    MinimizeError with the last residual after max_iter steps.
+    at most tol. The update norm does not shrink as the step grows, so
+    the returned start point of that update passes the fixed-step test.
+    Raises MinimizeError with the last residual after max_iter steps.
     """
     pop = spec.populations[i]
     cost = pop.cost

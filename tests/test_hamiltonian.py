@@ -222,8 +222,8 @@ def _fixed_step_residual(spec, X, mu, nus, Y, alpha):
 
 def test_minimizer_stop_certifies_the_fixed_step_residual():
     # the spectral step is at least 1/(lambda + L), and the update norm
-    # grows with the step, so the returned point passes the fixed-step
-    # test at tol on every row
+    # does not shrink as the step grows, so the returned point passes the
+    # fixed-step test at tol on every row
     spec = builtin_game("nonlq-box")
     mu, nus, X, Y = _sample(spec, 0, substream(10, "test-ham-cert"),
                             n=4096, scale=2.0)
