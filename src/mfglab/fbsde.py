@@ -23,7 +23,7 @@ import numpy as np
 from .hamiltonian import (_mean_over_copies, dmu_hamiltonian_batch,
                           drift_batch, dx_hamiltonian_batch, field_feedback,
                           minimize_controls)
-from .measures import ParticleCloud, TimeGrid
+from .measures import ParticleCloud, TimeGrid, row_mean
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import substream
 
@@ -196,7 +196,7 @@ def _check_flows(spec, flows, grid):
 
 def _sigma_dw(pop, t, X, mu, nus, dWk):
     s0 = np.asarray(pop.diffusion.s0(t, mu, nus), dtype=float)
-    out = np.dot(dWk, s0.T)  # not @, which skips BLAS at d = 1
+    out = np.dot(dWk, s0.T.copy())  # not @ nor a view: see hamiltonian.py
     if pop.diffusion.s1 is not None:
         s1 = np.asarray(pop.diffusion.s1(t, mu, nus), dtype=float)
         sig = np.einsum("jlm,nm->njl", s1, X)
@@ -287,9 +287,11 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit):
     """Least-squares Monte Carlo backward pass along given forward paths
     and their per-knot measure arguments (mu, nus), handing each knot's
     adjoint value to refit(k, fit, Y_k), knot K first.
-    One factorization per knot serves the Y fit, the Z fit and the refit;
-    knot K is factored only for the refit. Only the latest Y is kept."""
-    mkv = spec.populations[i].cooperation == COOPERATIVE
+    One factorization per knot serves the Y fit, the refit and, only for
+    a state-linear diffusion (s1 or s1_bar, the sole readers of Z), the Z
+    fit; knot K is factored only for the refit. Only the latest Y is kept."""
+    pop = spec.populations[i]
+    mkv = pop.cooperation == COOPERATIVE
     K = grid.n_steps
     n, d = X[0].shape
     def regression(k):
@@ -306,14 +308,16 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit):
         mu, nus = measures[k]
         fit = regression(k)
         _, yhat = fit.solve(Y)
-        ztarget = np.einsum("nj,nl->njl", Y, dW[k]).reshape(n, d * d)
-        zhat = fit.solve(ztarget / grid.dt)[1].reshape(n, d, d)
+        zhat = mean_z = None
+        if pop.diffusion.s1 is not None or pop.diffusion.s1_bar is not None:
+            ztarget = np.einsum("nj,nl->njl", Y, dW[k]).reshape(n, d * d)
+            zhat = fit.solve(ztarget / grid.dt)[1].reshape(n, d, d)
+            mean_z = zhat.mean(axis=0)
         alpha = minimize_controls(spec, i, t, X[k], mu, nus, yhat)
         drv = dx_hamiltonian_batch(spec, i, t, X[k], mu, nus, yhat, zhat, alpha)
         if mkv:
             drv = dmu_hamiltonian_batch(spec, i, t, X[k], mu, nus, alpha, X[k],
-                                        yhat.mean(axis=0), zhat.mean(axis=0),
-                                        drv)
+                                        row_mean(yhat), mean_z, drv)
         Y = yhat + grid.dt * drv
         refit(k, fit, Y)
 

@@ -14,10 +14,13 @@ feed the adjoint driver. vi_residual certifies a minimizer at one point.
 
 import numpy as np
 
+from .measures import row_mean
 from .rng import substream
 
 # Batch products over an inner dimension d or k call np.dot: when it is 1,
 # as in every builtin, @ runs numpy's non-BLAS matmul loop, ~8x slower.
+# A transposed coefficient enters as a C-contiguous copy (.T.copy()): at
+# d >= 2 a product with the transposed view is ~3x slower, same bits.
 
 
 class MinimizeError(RuntimeError):
@@ -50,7 +53,7 @@ def minimize_controls(spec, i, t, X, mu, nus, Y, tol=1e-10, max_iter=10000):
         lin = lin_y
         if cost.quad_linear is not None:
             lin = lin + np.asarray(cost.quad_linear(t, X, mu, nus), dtype=float)
-        unc = -np.dot(lin, cost.quad_q_inv.T)
+        unc = -np.dot(lin, cost.quad_q_inv.T.copy())
         if aset.kind == "full-space":
             return unc
         if aset.kind == "box" and cost.quad_q_diagonal:
@@ -95,9 +98,9 @@ def drift_batch(spec, i, t, X, mu, nus, alpha):
     """Drift of population i for a particle batch X (n, d) under alpha (n, k)."""
     pop = spec.populations[i]
     b0 = np.asarray(pop.drift.b0(t, mu, nus), dtype=float)
-    b1 = np.asarray(pop.drift.b1(t, mu, nus), dtype=float)
-    b2 = np.asarray(pop.drift.b2(t, mu, nus), dtype=float)
-    out = b0 + np.dot(X, b1.T) + np.dot(alpha, b2.T)
+    b1t = np.asarray(pop.drift.b1(t, mu, nus), dtype=float).T.copy()
+    b2t = np.asarray(pop.drift.b2(t, mu, nus), dtype=float).T.copy()
+    out = b0 + np.dot(X, b1t) + np.dot(alpha, b2t)
     if pop.drift.b1_bar is not None:
         out = out + (np.asarray(pop.drift.b1_bar(t, nus), dtype=float)
                      @ mu.mean)[None, :]
@@ -135,10 +138,10 @@ def _mean_over_copies(call, V, chunk=2048):
     outs = []
     for s in range(0, len(V), chunk):
         block = V[s : s + chunk]
-        mean = np.asarray(call(block), dtype=float).mean(axis=0)
-        if mean.shape[0] == 1 < len(block):
-            return np.broadcast_to(mean, (len(V), mean.shape[1]))
-        outs.append(mean)
+        vals = np.asarray(call(block), dtype=float)
+        if vals.shape[1] == 1 < len(block):
+            return np.broadcast_to(row_mean(vals[:, 0]), V.shape)
+        outs.append(vals.mean(axis=0))
     return np.concatenate(outs, axis=0)
 
 

@@ -414,6 +414,36 @@ def _count_linalg(monkeypatch, *names):
     return calls
 
 
+@pytest.mark.parametrize("case, solves_per_knot", [("lq-1pop", 1),
+                                                    ("diffusive-planner", 2)])
+def test_z_is_regressed_only_for_a_state_linear_diffusion(case,
+                                                          solves_per_knot,
+                                                          monkeypatch):
+    # Z reaches the driver only through s1 or s1_bar: a game that sets
+    # neither fits Y alone at each knot below K, and _diffusive_planner
+    # (which sets both) fits Y and Z
+    spec = (builtin_game(case) if case == "lq-1pop"
+            else _diffusive_planner()[0])
+    grid, n = TimeGrid(spec.horizon, 4), 64
+    flows = uncontrolled_flows(spec, grid.n_steps, n, 0)
+    xi, dW = solver_draws(spec, 0, n, grid, 1)
+    live = spec.populations[0].cooperation == COOPERATIVE
+    (X, _, measures), = euler_scheme(
+        spec, grid, (0,), [xi], [dW],
+        [lambda k, t, X, mu, nus: 0.3 * X[:, :1] - 0.1], flows, live=live)
+    solve = KnotRegression.solve
+    targets = []
+
+    def counted(fit, Y):
+        targets.append(Y.shape[1])
+        return solve(fit, Y)
+
+    monkeypatch.setattr(KnotRegression, "solve", counted)
+    _backward(spec, 0, grid, X, dW, measures, 2, lambda k, fit, Yk: None)
+    d = spec.populations[0].state_dim
+    assert targets == [d, d * d][:solves_per_knot] * grid.n_steps
+
+
 def test_one_factorization_per_knot_and_no_lstsq_or_solve(monkeypatch):
     spec = builtin_game("lq-1pop")
     cfg = SolverConfig(n_steps=10, n_paths=512)

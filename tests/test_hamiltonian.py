@@ -8,6 +8,7 @@ from mfglab.fixedpoint import FixedPointConfig, solve_matching
 from mfglab.hamiltonian import (
     MinimizeError,
     dmu_hamiltonian_batch,
+    drift_batch,
     dx_hamiltonian_batch,
     minimize_controls,
     reduced_hamiltonian,
@@ -315,3 +316,31 @@ def test_direction_dependent_measure_derivative_keeps_a_one_row_last_chunk():
             + (X[:, None, :] * np.sin(V)[None, :, :]).mean(axis=0))
     assert got.shape == V.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_contiguous_coefficient_products_keep_the_transposed_view_bits(d):
+    # the drift, Brownian and closed-form control kernels multiply by a
+    # C-contiguous copy of each transposed coefficient, which is faster at
+    # d >= 2 than the view and must give the same bits
+    rng = np.random.default_rng(d)
+    root = rng.standard_normal((d, d))
+    lq = PopulationLq(A=rng.standard_normal((d, d)),
+                      B=rng.standard_normal((d, d)),
+                      sigma=np.tril(rng.standard_normal((d, d))),
+                      R=root @ root.T + d * np.eye(d), W=np.eye(d),
+                      Wg=np.eye(d), a=rng.standard_normal(d))
+    pop = population_from_lq(lq, COMPETITIVE,
+                             gaussian_initial_law(np.zeros(d), 1.0), None, None)
+    spec = GameSpec(populations=(pop,), horizon=1.0,
+                    constants=ModelConstants(1.0, 0.5, 1.0))
+    X, Y, alpha, dW = rng.standard_normal((4, 4096, d))
+    mu, t = ParticleCloud(X), 0.3
+    drift = drift_batch(spec, 0, t, X, mu, (), alpha)
+    assert drift.tobytes() == (lq.a + np.dot(X, lq.A.T)
+                               + np.dot(alpha, lq.B.T)).tobytes()
+    noise = fbsde._sigma_dw(pop, t, X, mu, (), dW)
+    assert noise.tobytes() == np.dot(dW, lq.sigma.T).tobytes()
+    control = minimize_controls(spec, 0, t, X, mu, (), Y)
+    lin = np.dot(Y, lq.B) + pop.cost.quad_linear(t, X, mu, ())
+    assert control.tobytes() == (-np.dot(lin, pop.cost.quad_q_inv.T)).tobytes()

@@ -145,9 +145,10 @@ def test_oracle_mean_matches_uncoupled_expectation():
 
 def test_lq2d_mixed_means_match_riccati():
     # the only 2-d game: non-diagonal A, correlated sigma and cross-
-    # population S_bar, so it checks the d x d Z regression and the
-    # cross-term features against the matrix Riccati oracle, at
-    # acceptance 2's budget
+    # population S_bar, so it checks the cross-term features and the d = 2
+    # drift, noise and mean kernels against the matrix Riccati oracle, at
+    # acceptance 2's budget (its constant diffusion reads no Z; the Z
+    # regression is gated by the state-linear diffusion test below)
     path = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
                         "models", "lq2d_mixed.py")
     spec = runpy.run_path(path)["make_game"]()

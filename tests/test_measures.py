@@ -17,6 +17,7 @@ from mfglab.measures import (
     flow_from_csv,
     flow_to_csv,
     resample,
+    row_mean,
     sliced_w2,
     sorted_slices,
     sorted_w2sq,
@@ -375,3 +376,20 @@ def test_empirical_from_states():
     flow = empirical_from_states(grid, states)
     assert len(flow.clouds) == 3
     assert np.array_equal(flow.clouds[1].points, states[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4096), d=st.integers(1, 3), seed=st.integers(0, 2**31))
+def test_row_mean_is_the_axis_0_mean(n, d, seed):
+    # pairwise sums along the rows of X': the same bits at d = 1, and at
+    # d >= 2 within rounding of the row-by-row sum it replaces
+    rng = substream(seed, "row-mean")
+    X = rng.uniform(0.1, 10.0) * rng.standard_normal((n, d)) + rng.uniform(
+        -5.0, 5.0, d)
+    got, want = row_mean(X), X.mean(axis=0)
+    assert got.shape == want.shape == (d,)
+    if d == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(X).mean(axis=0))
+    assert ParticleCloud(X).mean.tobytes() == got.tobytes()
