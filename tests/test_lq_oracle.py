@@ -186,14 +186,15 @@ def _state_linear_diffusion_slope_gaps(seed):
 
     refine = 20
     h = sol.grid.dt / refine
-    P, slopes = 1.0, {}
-    for k in range(sol.grid.n_steps, -1, -1):
-        slopes[k] = P
-        for _ in range(refine if k else 0):
+    P, slopes = 1.0, [1.0]  # backward from P(T) = Wg, one entry per knot
+    for _ in range(sol.grid.n_steps):
+        for _ in range(refine):
             k1 = rhs(P)
             k2 = rhs(P - 0.5 * h * k1)
             k3 = rhs(P - 0.5 * h * k2)
             P = P - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + rhs(P - h * k3))
+        slopes.append(P)
+    slopes.reverse()
     knots = [int(round(t / sol.grid.dt)) for t in (0.0, 0.2, 0.5)]
     return [abs(sol.field.linear_slope(k, sol.X[k])[0, 0] - slopes[k])
             for k in knots]

@@ -384,8 +384,8 @@ def test_row_mean_is_the_axis_0_mean(n, d, seed):
     # pairwise sums along the rows of X': the same bits at d = 1, and at
     # d >= 2 within rounding of the row-by-row sum it replaces
     rng = substream(seed, "row-mean")
-    X = rng.uniform(0.1, 10.0) * rng.standard_normal((n, d)) + rng.uniform(
-        -5.0, 5.0, d)
+    scale, shift = rng.uniform(0.1, 10.0), rng.uniform(-5.0, 5.0, d)
+    X = scale * rng.standard_normal((n, d)) + shift
     got, want = row_mean(X), X.mean(axis=0)
     assert got.shape == want.shape == (d,)
     if d == 1:
