@@ -144,3 +144,110 @@ def test_lq_metadata_present_on_lq_builtins():
                 assert pop.lq is None
             else:
                 assert pop.lq is not None
+
+
+# Every builtin's declared data, as literals: the LQ blocks list their
+# nonzero entries, each other PopulationLq array must be zero (tuples empty).
+_LQ_ZEROS = dict(A=0.0, A_bar=0.0, a=0.0, S=0.0, s=0.0, G=0.0, h=0.0,
+                 C=(), S_bar=(), G_bar=())
+_FLAGS_ALL = (True, True, True, True)
+_DECLARED = {
+    "lq-scalar": ((1.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("competitive", "agent", 0.0, 1.0,
+         dict(B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5),
+         [1.642101569671667, -1.8411006945615087, -0.9849262605258088,
+          -0.27641116203633054, 0.03363106522743681]),
+    ]),
+    "lq-1pop": ((1.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("competitive", "crowd", 1.0, 0.25,
+         dict(B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S=0.3),
+         [1.8210507848358335, 0.07944965271924564, 0.5075368697370957,
+          0.8617944189818347, 1.0168155326137185]),
+    ]),
+    "lq-bimodal": ((1.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("competitive", "split-crowd", 0.0, 0.6480000000000001,
+         dict(B=1.0, sigma=0.4, R=1.0, W=1.0, Wg=0.5, S=0.3),
+         [-0.9497720137905142, -0.7925038874226843, 0.6689749092379488,
+          -0.7790257644206332, -0.658209099090299]),
+    ]),
+    "lq-2pop-competitive": ((1.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("competitive", "buyers", 1.0, 0.25,
+         dict(B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.25,)),
+         [1.8210507848358335, 0.07944965271924564, 0.5075368697370957,
+          0.8617944189818347, 1.0168155326137185]),
+        ("competitive", "sellers", -1.0, 0.25,
+         dict(B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.35,)),
+         [-0.1789492151641665, -1.9205503472807544, -1.4924631302629043,
+          -1.1382055810181653, -0.9831844673862816]),
+    ]),
+    "lq-2pop-cooperative": ((1.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("cooperative", "fleet-a", 1.0, 0.25,
+         dict(A=-0.2, A_bar=0.15, B=1.0, sigma=0.8, R=1.0, W=1.0, Wg=0.5,
+              S=0.3, S_bar=(0.2,), G=0.25),
+         [1.8210507848358335, 0.07944965271924564, 0.5075368697370957,
+          0.8617944189818347, 1.0168155326137185]),
+        ("cooperative", "fleet-b", -0.5, 0.25,
+         dict(A=-0.2, A_bar=0.15, B=1.0, sigma=0.8, R=1.0, W=1.0, Wg=0.5,
+              S=0.3, S_bar=(0.2,), G=0.25),
+         [0.3210507848358335, -1.4205503472807544, -0.9924631302629043,
+          -0.6382055810181653, -0.4831844673862816]),
+    ]),
+    "mixed-opec": ((1.0, 0.5, 1.0), (True, True, False, True), [
+        ("cooperative", "cartel", 1.5, 0.16,
+         dict(A=-0.2, A_bar=0.1, B=1.0, C=(0.1,), sigma=0.6, R=1.0, W=1.0,
+              Wg=0.5, S=0.2, S_bar=(0.2,), G=0.2),
+         [2.1568406278686667, 0.7635597221753965, 1.1060294957896764,
+          1.3894355351854677, 1.5134524260909747]),
+        ("competitive", "fringe", 0.5, 0.16,
+         dict(B=1.0, sigma=0.8, R=1.0, W=1.0, Wg=0.5, S_bar=(0.3,)),
+         [1.1568406278686667, -0.23644027782460353, 0.10602949578967646,
+          0.3894355351854678, 0.5134524260909747]),
+    ]),
+    "nonlq-box": ((2.0, 0.5, 1.0), _FLAGS_ALL, [
+        ("competitive", "bounded-effort", 0.0, 0.36, None,
+         [0.9852609418030002, -1.1046604167369052, -0.5909557563154852,
+          -0.16584669722179832, 0.020178639136462083]),
+    ]),
+}
+
+
+def test_declared_data_covers_every_builtin():
+    assert sorted(_DECLARED) == ALL_BUILTINS
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+def test_builtin_declared_data_is_pinned(name):
+    constants, flags, pops = _DECLARED[name]
+    spec = builtin_game(name)
+    assert spec.name == name
+    assert spec.horizon == 1.0
+    assert dataclasses.astuple(spec.constants) == constants
+    assert dataclasses.astuple(spec.structural_flags) == flags
+    assert len(spec.populations) == len(pops)
+    for pop, (kind, label, mean, var, lq, draws) in zip(spec.populations,
+                                                        pops):
+        assert (pop.cooperation, pop.label) == (kind, label)
+        assert pop.state_dim == 1 and pop.moment_order == 8.0
+        assert np.array_equal(pop.initial_mean, [mean])
+        assert np.array_equal(pop.initial_cov, [[var]])
+        aset = pop.action_set
+        if lq is None:
+            assert pop.lq is None
+            assert aset.kind == "box"
+            assert np.array_equal(aset.lower, [-1.0])
+            assert np.array_equal(aset.upper, [1.0])
+        else:
+            assert aset.kind == "full-space"
+            assert aset.lower is None and aset.upper is None
+            for field, want in {**_LQ_ZEROS, **lq}.items():
+                got = getattr(pop.lq, field)
+                if isinstance(want, tuple):
+                    assert len(got) == len(want), field
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, [[w]]), field
+                else:
+                    shape = (1,) if field in ("a", "s", "h") else (1, 1)
+                    assert got.shape == shape, field
+                    assert np.array_equal(got, np.full(shape, want)), field
+        sample = pop.initial_law(substream(0, "builtin-pin"), 5)
+        assert np.array_equal(np.asarray(sample)[:, 0], draws)
