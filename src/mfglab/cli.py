@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -85,7 +86,7 @@ def _reject_unknown(block, path, known):
             )
 
 
-def _pick_int(block, path, key, default, low=None, high=None):
+def _pick_int(block, path, key, default, low=None):
     value = block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(
@@ -93,33 +94,27 @@ def _pick_int(block, path, key, default, low=None, high=None):
         )
     if low is not None and value < low:
         raise ConfigError("%s.%s: must be >= %d, got %d" % (path, key, low, value))
-    if high is not None and value > high:
-        raise ConfigError("%s.%s: must be <= %d, got %d" % (path, key, high, value))
     return value
 
 
-def _check_float(value, where, low=None, low_open=None, high=None):
-    """value as a float, range-checked. NaN is rejected first, since every
-    comparison with it is false."""
+def _check_float(value, where, low_open=None):
+    """value as a finite float, above low_open when given. Non-finite
+    values are refused first, since no comparison with NaN is true."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
             "%s: expected a number, got %s" % (where, _type_name(value))
         )
     value = float(value)
-    if value != value:
-        raise ConfigError("%s: expected a number, got nan" % where)
-    if low is not None and value < low:
-        raise ConfigError("%s: must be >= %g, got %g" % (where, low, value))
+    if not math.isfinite(value):
+        raise ConfigError("%s: expected a finite number, got %s"
+                          % (where, value))
     if low_open is not None and value <= low_open:
         raise ConfigError("%s: must be > %g, got %g" % (where, low_open, value))
-    if high is not None and value > high:
-        raise ConfigError("%s: must be <= %g, got %g" % (where, high, value))
     return value
 
 
-def _pick_float(block, path, key, default, **bounds):
-    return _check_float(block.get(key, default), "%s.%s" % (path, key),
-                        **bounds)
+def _pick_float(block, path, key, default):
+    return _check_float(block.get(key, default), "%s.%s" % (path, key))
 
 
 def _pick_bool(block, path, key, default):
@@ -195,37 +190,25 @@ def _load_model(ref):
         )
 
 
-# How each field of the solver and fixed_point blocks is read and
-# range-checked; the defaults come from SolverConfig and FixedPointConfig.
-_FIELD_CHECKS = {
-    "n_steps": (_pick_int, {"low": 1}),
-    "n_paths": (_pick_int, {"low": 2}),
-    "degree": (_pick_int, {"low": 1, "high": 3}),
-    "picard_tol": (_pick_float, {"low_open": 0.0}),
-    "max_picard": (_pick_int, {"low": 1}),
-    "damping": (_pick_float, {"low_open": 0.0, "high": 1.0}),
-    "fp_tol": (_pick_float, {"low_open": 0.0}),
-    "max_iterations": (_pick_int, {"low": 1}),
-    "theta": (_pick_float, {"low_open": 0.0, "high": 1.0}),
-}
-
-
 def _config_fields(config):
-    """The YAML-facing fields of a config dataclass, in declaration order."""
-    return [f.name for f in dataclasses.fields(config)
-            if f.name in _FIELD_CHECKS]
+    """The YAML-facing fields of a config dataclass, its int and float
+    ones, in declaration order."""
+    return [f for f in dataclasses.fields(config) if f.type in (int, float)]
 
 
 def _config_from(block, path, defaults):
-    """defaults with the fields that the block sets, each range-checked."""
-    names = _config_fields(defaults)
-    _reject_unknown(block, path, names)
+    """defaults with the fields that the block sets. Types are checked
+    here, ranges by the config class, whose ValueError names the field."""
+    fields = _config_fields(defaults)
+    _reject_unknown(block, path, [f.name for f in fields])
     picked = {}
-    for name in names:
-        pick, bounds = _FIELD_CHECKS[name]
-        picked[name] = pick(block, path, name, getattr(defaults, name),
-                            **bounds)
-    return dataclasses.replace(defaults, **picked)
+    for f in fields:
+        pick = _pick_int if f.type is int else _pick_float
+        picked[f.name] = pick(block, path, f.name, getattr(defaults, f.name))
+    try:
+        return dataclasses.replace(defaults, **picked)
+    except ValueError as err:
+        raise ConfigError("%s.%s" % (path, err)) from err
 
 
 def _deviations_from(block, path):
@@ -348,12 +331,11 @@ def load_config(path, command, seed_override=None, out_override=None,
 
     solver = _config_from(_as_map(raw.get("solver"), "solver"), "solver",
                           SolverConfig())
-    fixed_point = _config_from(
-        _as_map(raw.get("fixed_point"), "fixed_point"), "fixed_point",
-        FixedPointConfig(solver=solver))
+    fp_block = _as_map(raw.get("fixed_point"), "fixed_point")
     if fp_tol_override is not None:
-        fixed_point = dataclasses.replace(fixed_point, fp_tol=_check_float(
-            fp_tol_override, "--fp-tol", **_FIELD_CHECKS["fp_tol"][1]))
+        fp_block["fp_tol"] = fp_tol_override
+    fixed_point = _config_from(fp_block, "fixed_point",
+                               FixedPointConfig(solver=solver))
     experiment = _experiment_from(
         _as_map(raw.get("experiment"), "experiment"), command,
         game.n_populations)
@@ -378,10 +360,10 @@ def _resolved_dict(plan):
         "model": plan["model_ref"],
         "seed": plan["seed"],
         "output_dir": plan["output_dir"],
-        "solver": {name: getattr(plan["solver"], name)
-                   for name in _config_fields(plan["solver"])},
-        "fixed_point": {name: getattr(plan["fixed_point"], name)
-                        for name in _config_fields(plan["fixed_point"])},
+        "solver": {f.name: getattr(plan["solver"], f.name)
+                   for f in _config_fields(plan["solver"])},
+        "fixed_point": {f.name: getattr(plan["fixed_point"], f.name)
+                        for f in _config_fields(plan["fixed_point"])},
         "experiment": exp,
     }
 

@@ -30,7 +30,8 @@ from .rng import substream
 
 @dataclass
 class SolverConfig:
-    """Solver sizes and Picard controls; damping opens a cold solve."""
+    """Solver sizes and Picard controls; damping opens a cold solve. The
+    fields' ranges are checked here only, the config loader checks types."""
 
     n_steps: int = 50
     n_paths: int = 4096
@@ -40,16 +41,23 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.n_paths < 2:
-            raise ValueError("need at least one step and two paths")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.degree < 1 or self.degree > 3:
-            raise ValueError("feature degree must be 1, 2, or 3")
+        # each message opens with its field, which the config loader
+        # prefixes with the block; NaN fails every float check
+        if self.n_steps < 1:
+            raise ValueError("n_steps: must be >= 1, got %s" % self.n_steps)
+        if self.n_paths < 2:
+            raise ValueError("n_paths: must be >= 2, got %s" % self.n_paths)
+        if self.degree not in (1, 2, 3):
+            raise ValueError("degree: must be 1, 2 or 3, got %s" % self.degree)
+        if not 0.0 < self.picard_tol < np.inf:
+            raise ValueError("picard_tol: must be positive and finite, got %s"
+                             % self.picard_tol)
         if self.max_picard < 1:
-            raise ValueError("max_picard must be at least 1")
-        if not self.picard_tol > 0.0:  # NaN fails too
-            raise ValueError("picard_tol must be positive")
+            raise ValueError("max_picard: must be >= 1, got %s"
+                             % self.max_picard)
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping: must lie in (0, 1], got %s"
+                             % self.damping)
 
 
 THETA_MIN = 1.0 / 32.0

@@ -39,18 +39,23 @@ from .rng import parallel_map
 
 @dataclass
 class FixedPointConfig:
+    """Outer-iteration controls; owns its fields' ranges as SolverConfig."""
+
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
     fp_tol: float = 1e-3
     max_iterations: int = 50
     theta: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
+        # messages open with the field, as in SolverConfig
+        if not 0.0 < self.fp_tol < np.inf:
+            raise ValueError("fp_tol: must be positive and finite, got %s"
+                             % self.fp_tol)
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.fp_tol > 0.0:  # NaN fails too
-            raise ValueError("fp_tol must be positive")
+            raise ValueError("max_iterations: must be >= 1, got %s"
+                             % self.max_iterations)
+        if not 0.0 < self.theta <= 1.0:
+            raise ValueError("theta: must lie in (0, 1], got %s" % self.theta)
 
 
 @dataclass
@@ -336,8 +341,8 @@ def truncated_solve(spec, level, config=None, seed=0, workers=1):
     population, the knots of the reported equilibrium's input flows where
     truncation changed a measure, with the particles of the bound clouds.
     """
-    if not level > 0:
-        raise ValueError("truncation level must be positive")
+    if not 0 < level < np.inf:  # NaN fails too
+        raise ValueError("truncation level must be positive and finite")
     cfg = config if config is not None else FixedPointConfig()
     pops = tuple(_truncating_population(pop, level)
                  for pop in spec.populations)

@@ -391,9 +391,12 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
     def s0(t, mu, nus):
         return lq.sigma
 
-    def f(t, x, mu, nus, alpha):
+    def quad_const(t, x, mu, nus):
         e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
-        return half_quad(alpha, lq.R) + half_quad(e, lq.W)
+        return half_quad(e, lq.W)
+
+    def f(t, x, mu, nus, alpha):
+        return half_quad(alpha, lq.R) + quad_const(t, x, mu, nus)
 
     def df_dx(t, x, mu, nus, alpha):
         e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
@@ -413,10 +416,6 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
     def quad_linear(t, x, mu, nus):
         return np.zeros((x.shape[0], k))
 
-    def quad_const(t, x, mu, nus):
-        e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
-        return half_quad(e, lq.W)
-
     df_dmu = None
     dg_dmu = None
     b1_bar = None
@@ -426,12 +425,10 @@ def population_from_lq(lq, cooperation, initial_law, initial_mean,
             return lq.A_bar
 
         def df_dmu(t, x, mu, nus, alpha, v):
-            e = x - _target(mu, nus, lq.S, "S_bar", lq.s)[None, :]
-            return -np.dot(np.dot(e, lq.W), lq.S)[:, None, :]
+            return -np.dot(df_dx(t, x, mu, nus, alpha), lq.S)[:, None, :]
 
         def dg_dmu(x, mu, nus, v):
-            e = x - _target(mu, nus, lq.G, "G_bar", lq.h)[None, :]
-            return -np.dot(np.dot(e, lq.Wg), lq.G)[:, None, :]
+            return -np.dot(dg_dx(x, mu, nus), lq.G)[:, None, :]
 
     if action_set is None:
         action_set = ActionSet(dimension=k)
@@ -473,36 +470,34 @@ def _lq1(**kw):
     return PopulationLq(**args)
 
 
+def _game(name, *pops, lipschitz_L=1.0, flags=(True,) * 4):
+    """A builtin game: horizon 1, constants (lipschitz_L, 0.5, 1.0)."""
+    return GameSpec(populations=pops, horizon=1.0,
+                    constants=ModelConstants(lipschitz_L, 0.5, 1.0),
+                    structural_flags=StructuralFlags(*flags), name=name)
+
+
+def _scalar_pop(cooperation, label, mean, var, law=None, **lq):
+    """A scalar LQ population declaring initial mean and variance; its law
+    defaults to the Gaussian with those moments. The declared variance
+    keeps the literal's bits (0.4 * 0.4 != 0.16, sqrt(0.16) == 0.4)."""
+    if law is None:
+        law = gaussian_initial_law([mean], np.sqrt(var))
+    return population_from_lq(_lq1(**lq), cooperation, law,
+                              initial_mean=[mean], initial_cov=[[var]],
+                              label=label)
+
+
 def _make_lq_scalar():
-    lq = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5)
-    pop = population_from_lq(
-        lq, COMPETITIVE, gaussian_initial_law([0.0], 1.0),
-        initial_mean=[0.0], initial_cov=[[1.0]], label="agent",
-    )
-    return GameSpec(
-        populations=(pop,),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="lq-scalar",
-    )
+    return _game("lq-scalar", _scalar_pop(
+        COMPETITIVE, "agent", 0.0, 1.0,
+        A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5))
 
 
 def _make_lq_1pop():
-    lq = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S=0.3)
-    pop = population_from_lq(
-        lq, COMPETITIVE, gaussian_initial_law([1.0], 0.5),
-        initial_mean=[1.0], initial_cov=[[0.25]], label="crowd",
-    )
-    return GameSpec(
-        populations=(pop,),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="lq-1pop",
-    )
+    return _game("lq-1pop", _scalar_pop(
+        COMPETITIVE, "crowd", 1.0, 0.25,
+        A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S=0.3))
 
 
 def split_crowd_initial_law(center, half_width):
@@ -526,92 +521,43 @@ def split_crowd_initial_law(center, half_width):
 def _make_lq_bimodal():
     center = 0.8
     half_width = 0.2
-    lq = _lq1(A=0.0, B=1.0, sigma=0.4, R=1.0, W=1.0, Wg=0.5, S=0.3)
-    pop = population_from_lq(
-        lq, COMPETITIVE, split_crowd_initial_law(center, half_width),
-        initial_mean=[0.0],
-        initial_cov=[[center * center + half_width * half_width * 0.2]],
-        moment_order=8.0,
-        label="split-crowd",
-    )
-    return GameSpec(
-        populations=(pop,),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="lq-bimodal",
-    )
+    return _game("lq-bimodal", _scalar_pop(
+        COMPETITIVE, "split-crowd", 0.0,
+        center * center + half_width * half_width * 0.2,
+        law=split_crowd_initial_law(center, half_width),
+        A=0.0, B=1.0, sigma=0.4, R=1.0, W=1.0, Wg=0.5, S=0.3))
 
 
 def _make_lq_2pop_competitive():
-    lq0 = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.25,))
-    lq1 = _lq1(A=0.0, B=1.0, sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.35,))
-    pop0 = population_from_lq(
-        lq0, COMPETITIVE, gaussian_initial_law([1.0], 0.5),
-        initial_mean=[1.0], initial_cov=[[0.25]], label="buyers",
-    )
-    pop1 = population_from_lq(
-        lq1, COMPETITIVE, gaussian_initial_law([-1.0], 0.5),
-        initial_mean=[-1.0], initial_cov=[[0.25]], label="sellers",
-    )
-    return GameSpec(
-        populations=(pop0, pop1),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="lq-2pop-competitive",
+    return _game(
+        "lq-2pop-competitive",
+        _scalar_pop(COMPETITIVE, "buyers", 1.0, 0.25, A=0.0, B=1.0,
+                    sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.25,)),
+        _scalar_pop(COMPETITIVE, "sellers", -1.0, 0.25, A=0.0, B=1.0,
+                    sigma=1.0, R=1.0, W=1.0, Wg=0.5, S_bar=(0.35,)),
     )
 
 
 def _make_lq_2pop_cooperative():
-    def block(s_bar):
-        return _lq1(A=-0.2, A_bar=0.15, B=1.0, sigma=0.8, R=1.0, W=1.0,
-                    Wg=0.5, S=0.3, S_bar=(s_bar,), G=0.25)
-    pop0 = population_from_lq(
-        block(0.2), COOPERATIVE, gaussian_initial_law([1.0], 0.5),
-        initial_mean=[1.0], initial_cov=[[0.25]], label="fleet-a",
-    )
-    pop1 = population_from_lq(
-        block(0.2), COOPERATIVE, gaussian_initial_law([-0.5], 0.5),
-        initial_mean=[-0.5], initial_cov=[[0.25]], label="fleet-b",
-    )
-    return GameSpec(
-        populations=(pop0, pop1),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="lq-2pop-cooperative",
+    fleet = dict(A=-0.2, A_bar=0.15, B=1.0, sigma=0.8, R=1.0, W=1.0,
+                 Wg=0.5, S=0.3, S_bar=(0.2,), G=0.25)
+    return _game(
+        "lq-2pop-cooperative",
+        _scalar_pop(COOPERATIVE, "fleet-a", 1.0, 0.25, **fleet),
+        _scalar_pop(COOPERATIVE, "fleet-b", -0.5, 0.25, **fleet),
     )
 
 
 def _make_mixed_opec():
-    cartel_lq = _lq1(A=-0.2, A_bar=0.1, B=1.0, C=(0.1,), sigma=0.6,
-                     R=1.0, W=1.0, Wg=0.5, S=0.2, S_bar=(0.2,), G=0.2)
-    fringe_lq = _lq1(A=0.0, B=1.0, sigma=0.8, R=1.0, W=1.0, Wg=0.5,
-                     S_bar=(0.3,))
-    cartel = population_from_lq(
-        cartel_lq, COOPERATIVE, gaussian_initial_law([1.5], 0.4),
-        initial_mean=[1.5], initial_cov=[[0.16]], label="cartel",
-    )
-    fringe = population_from_lq(
-        fringe_lq, COMPETITIVE, gaussian_initial_law([0.5], 0.4),
-        initial_mean=[0.5], initial_cov=[[0.16]], label="fringe",
-    )
-    return GameSpec(
-        populations=(cartel, fringe),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=1.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(
-            affine_competitive=True,
-            affine_cooperative=True,
-            cooperative_measure_free_intercepts=False,
-            mixed_fringe_own_law_free_intercepts=True,
-        ),
-        name="mixed-opec",
+    return _game(
+        "mixed-opec",
+        _scalar_pop(COOPERATIVE, "cartel", 1.5, 0.16, A=-0.2, A_bar=0.1,
+                    B=1.0, C=(0.1,), sigma=0.6, R=1.0, W=1.0, Wg=0.5,
+                    S=0.2, S_bar=(0.2,), G=0.2),
+        _scalar_pop(COMPETITIVE, "fringe", 0.5, 0.16, A=0.0, B=1.0,
+                    sigma=0.8, R=1.0, W=1.0, Wg=0.5, S_bar=(0.3,)),
+        # the cartel's drift intercept reads the fringe's mean through C
+        flags=(True, True, False, True),
     )
 
 
@@ -658,14 +604,7 @@ def _make_nonlq_box():
         initial_cov=[[0.36]],
         label="bounded-effort",
     )
-    return GameSpec(
-        populations=(pop,),
-        horizon=1.0,
-        constants=ModelConstants(lipschitz_L=2.0, convexity_lambda=0.5,
-                                 growth_K=1.0),
-        structural_flags=StructuralFlags(True, True, True, True),
-        name="nonlq-box",
-    )
+    return _game("nonlq-box", pop, lipschitz_L=2.0)
 
 
 _BUILTIN_BUILDERS = {
@@ -682,10 +621,7 @@ _BUILTIN_CACHE = {}
 
 def builtin_library():
     """All builtin models, keyed by name."""
-    for key in _BUILTIN_BUILDERS:
-        if key not in _BUILTIN_CACHE:
-            _BUILTIN_CACHE[key] = _BUILTIN_BUILDERS[key]()
-    return dict(_BUILTIN_CACHE)
+    return {name: builtin_game(name) for name in _BUILTIN_BUILDERS}
 
 
 def builtin_game(name):

@@ -315,9 +315,10 @@ class ChaosReport:
 
 
 def _chaos_sizes(N_list, reference_factor, repetitions):
-    """The sorted sizes of a chaos study; raises ValueError when one is
-    below 2, they cannot fit the rate, the reference is too coarse or
-    fewer than 2 repetitions leave no standard error."""
+    """The sorted distinct sizes of a chaos study (a repeated size would
+    weigh twice in the fit); raises ValueError when one is below 2, they
+    cannot fit the rate, the reference is too coarse or fewer than 2
+    repetitions leave no standard error."""
     N_list = tuple(sorted(int(n) for n in N_list))
     if len(set(N_list)) < 3:
         raise ValueError(
@@ -331,7 +332,7 @@ def _chaos_sizes(N_list, reference_factor, repetitions):
     if repetitions < 2:
         raise ValueError("chaos needs at least 2 repetitions, got %d"
                          % repetitions)
-    return N_list
+    return tuple(sorted(set(N_list)))
 
 
 def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
@@ -589,7 +590,8 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     """
     _require_converged(equilibrium)
     target, unit = _validate_mode(spec, mode, population)
-    N_list = tuple(int(n) for n in N_list)
+    # a repeated size is run once: its repetitions would count twice
+    N_list = tuple(dict.fromkeys(int(n) for n in N_list))
     devs = tuple(deviations) if deviations is not None else default_deviations()
     m = spec.n_populations
 

@@ -369,6 +369,14 @@ def test_deviation_value_rules(tmp_path, capsys):
         "  deviations:\n    - kind: anchor\n      value: 0.5\n"))
     assert main(["nash", "--config", cfg2]) == 2
     assert "value" in capsys.readouterr().err
+    cfg3 = _write(tmp_path / "c3.yaml", _base_config(
+        tmp_path / "out",
+        "experiment:\n  kind: nash\n  sizes: [6, 8, 10]\n"
+        "  repetitions: 2\n"
+        "  deviations:\n    - kind: shift\n      value: .inf\n"))
+    assert main(["nash", "--config", cfg3]) == 2
+    assert ("deviations[0].value: expected a finite number, got inf"
+            in capsys.readouterr().err)
 
 
 def test_truncation_bad_level_rejected(tmp_path, capsys):
@@ -377,6 +385,13 @@ def test_truncation_bad_level_rejected(tmp_path, capsys):
         "experiment:\n  kind: truncation-study\n  levels: [1.0, -2.0]\n"))
     assert main(["truncation-study", "--config", cfg]) == 2
     assert "levels" in capsys.readouterr().err
+    cfg = _write(tmp_path / "c.yaml", _base_config(
+        tmp_path / "out",
+        "experiment:\n  kind: truncation-study\n  levels: [1.0, .inf]\n"))
+    assert main(["truncation-study", "--config", cfg]) == 2
+    assert "levels[1]: expected a finite number, got inf" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra,flags", [
@@ -385,14 +400,42 @@ def test_truncation_bad_level_rejected(tmp_path, capsys):
     ("fixed_point:\n  fp_tol: .nan\n", []),
     ("fixed_point:\n  theta: .nan\n", []),
     ("", ["--fp-tol", "nan"]),
-], ids=["picard_tol", "damping", "fp_tol", "theta", "--fp-tol"])
+    ("solver:\n  n_steps: 10\n  picard_tol: .inf\n", []),
+    ("fixed_point:\n  fp_tol: .inf\n", []),
+    ("", ["--fp-tol", "inf"]),
+], ids=["picard_tol", "damping", "fp_tol", "theta", "--fp-tol",
+        "picard_tol-inf", "fp_tol-inf", "--fp-tol-inf"])
 def test_nan_settings_rejected(tmp_path, capsys, extra, flags):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.yaml",
                  "model: lq-1pop\noutput_dir: %s\n%s" % (out, extra))
     assert main(["solve", "--config", cfg] + flags) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "nan" in err
+    bad = "inf" if "inf" in extra + "".join(flags) else "nan"
+    assert err.startswith("config error: ") and bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("solver", "n_steps", 0),
+    ("solver", "n_paths", 1),
+    ("solver", "degree", 4),
+    ("solver", "picard_tol", 0.0),
+    ("solver", "max_picard", 0),
+    ("solver", "damping", 1.5),
+    ("fixed_point", "fp_tol", -1.0e-3),
+    ("fixed_point", "max_iterations", 0),
+    ("fixed_point", "theta", 0.0),
+])
+def test_out_of_range_setting_names_its_field(tmp_path, capsys, block, field,
+                                              value):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml",
+                 "model: lq-1pop\noutput_dir: %s\n%s:\n  %s: %r\n"
+                 % (out, block, field, value))
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s.%s: " % (block, field))
     assert not out.exists()
 
 

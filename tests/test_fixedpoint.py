@@ -317,6 +317,8 @@ def test_truncation_level_must_be_positive():
     spec = builtin_game("lq-1pop")
     with pytest.raises(ValueError, match="positive"):
         truncated_solve(spec, 0.0, SMALL, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        truncated_solve(spec, np.inf, SMALL, seed=0)
 
 
 def test_config_validation():
@@ -328,13 +330,15 @@ def test_config_validation():
     (SolverConfig, "max_picard", 0),
     (SolverConfig, "picard_tol", 0.0),
     (SolverConfig, "picard_tol", float("nan")),
+    (SolverConfig, "picard_tol", float("inf")),
     (FixedPointConfig, "max_iterations", 0),
     (FixedPointConfig, "fp_tol", -1e-3),
     (FixedPointConfig, "fp_tol", float("nan")),
+    (FixedPointConfig, "fp_tol", float("inf")),
 ])
 def test_config_rejects_empty_budgets_and_unreachable_tolerances(make, field,
                                                                 value):
-    # an empty budget leaves no iterate to report, and no change is ever
-    # below a NaN or non-positive tolerance
-    with pytest.raises(ValueError, match=field):
+    # an empty budget leaves no iterate to report, no change is ever
+    # below a NaN or non-positive tolerance, and every one is below inf
+    with pytest.raises(ValueError, match="^%s: " % field):
         make(**{field: value})

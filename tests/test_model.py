@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import runpy
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from mfglab.rng import substream
 from mfglab.validation import validate_game
 
 ALL_BUILTINS = sorted(builtin_library())
+MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                      "models")
 
 
 def test_builtin_library_contents():
@@ -38,9 +42,13 @@ def test_unknown_builtin_error_lists_choices():
         builtin_game("no-such-model")
 
 
-@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("name", ALL_BUILTINS + ["lq2d_mixed.py"])
 def test_builtins_validate(name):
-    report = validate_game(builtin_game(name), n_samples=50, seed=0)
+    if name.endswith(".py"):
+        spec = runpy.run_path(os.path.join(MODELS, name))["make_game"]()
+    else:
+        spec = builtin_game(name)
+    report = validate_game(spec, n_samples=50, seed=0)
     assert report.passed, [c.to_dict() for c in report.failures()]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ def test_chaos_report_small_run():
     assert len(d["slopes"]) == 1
     import json
     json.dumps(d)
+
+
+def test_a_repeated_size_is_counted_once():
+    # a repeated size would weigh twice in the chaos fit and pool
+    # identical repetitions in a Nash standard error
+    spec = builtin_game("lq-1pop")
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+
+    def same(a, b):
+        return (json.dumps(a.to_dict(), sort_keys=True)
+                == json.dumps(b.to_dict(), sort_keys=True))
+
+    assert same(chaos_rate(spec, eq, [16, 64, 16, 32], repetitions=2),
+                chaos_rate(spec, eq, [16, 32, 64], repetitions=2))
+    devs = (Deviation("shift", 0.1), Deviation("null"))
+    assert same(nash_gap(spec, eq, (8, 8, 16, 32, 16), deviations=devs,
+                         repetitions=2),
+                nash_gap(spec, eq, (8, 16, 32), deviations=devs,
+                         repetitions=2))
 
 
 def test_null_deviation_gains_exactly_zero():
