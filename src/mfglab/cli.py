@@ -43,7 +43,8 @@ from .fixedpoint import (
     truncated_solve,
     write_history_csv,
 )
-from .measures import flow_distance, flow_to_csv
+from .measures import (csv_line, flow_distance, flow_to_csv, jsonable,
+                       write_csv)
 from .model import builtin_game, builtin_library
 from .nagent import (
     ALL_MODES,
@@ -104,7 +105,10 @@ def _check_float(value, where, low_open=None):
         raise ConfigError(
             "%s: expected a number, got %s" % (where, _type_name(value))
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ConfigError("%s: expected a finite number, got %s"
                           % (where, value))
@@ -351,11 +355,6 @@ def load_config(path, command, seed_override=None, out_override=None,
 
 
 def _resolved_dict(plan):
-    exp = dict(plan["experiment"])
-    if exp.get("deviations") is not None:
-        exp["deviations"] = [
-            {"kind": dev.kind, "value": dev.value} for dev in exp["deviations"]
-        ]
     return {
         "model": plan["model_ref"],
         "seed": plan["seed"],
@@ -364,7 +363,7 @@ def _resolved_dict(plan):
                    for f in _config_fields(plan["solver"])},
         "fixed_point": {f.name: getattr(plan["fixed_point"], f.name)
                         for f in _config_fields(plan["fixed_point"])},
-        "experiment": exp,
+        "experiment": jsonable(plan["experiment"]),
     }
 
 
@@ -390,10 +389,8 @@ def _dump_equilibrium(plan, report):
     _write_json(plan, "costs.json", {
         "spec_name": report.spec_name,
         "converged": report.converged,
-        "costs": [
-            {"population": i, "mean": c[0], "se": c[1]}
-            for i, c in enumerate(report.costs)
-        ],
+        "costs": [dict(c._asdict(), population=i)
+                  for i, c in enumerate(report.costs)],
     })
     for i, flow in enumerate(report.flows):
         flow_to_csv(flow, os.path.join(out, "flows_pop%d.csv" % i))
@@ -477,11 +474,11 @@ def cmd_truncation_study(plan, workers, allow_nonconverged):
     baseline = solve_matching(plan["game"], plan["fixed_point"],
                               seed=plan["seed"], workers=workers)
     write_history_csv(baseline, os.path.join(out, "history.csv"))
-    rows = ["level,population,flow_distance,binding_knots,bound_particles,"
-            "iterations,converged"]
+    rows = []
     runs = []
     all_converged = baseline.converged
-    for level in plan["experiment"]["levels"]:
+    # a repeated level is run once; resolved_config.yaml keeps the list
+    for level in dict.fromkeys(plan["experiment"]["levels"]):
         report = truncated_solve(plan["game"], level, plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)
         runs.append(report)
@@ -489,17 +486,17 @@ def cmd_truncation_study(plan, workers, allow_nonconverged):
         for i, flow in enumerate(report.flows):
             dist = flow_distance(flow, baseline.flows[i])
             binding = report.truncation_binding[i]
-            rows.append("%.17g,%d,%.17g,%d,%d,%d,%s" % (
-                level, i, dist, len(binding), sum(binding.values()),
-                report.iterations, str(report.converged).lower()))
-    with open(os.path.join(out, "truncation.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+            rows.append([level, i, dist, len(binding), sum(binding.values()),
+                         report.iterations, report.converged])
+    write_csv(os.path.join(out, "truncation.csv"), [
+        "level", "population", "flow_distance", "binding_knots",
+        "bound_particles", "iterations", "converged"], rows)
     _write_json(plan, "report.json", {
         "baseline": baseline.to_dict(),
         "levels": [run.to_dict() for run in runs],
     })
-    for line in rows[1:]:
-        print(line)
+    for row in rows:
+        print(csv_line(row))
     if all_converged or allow_nonconverged:
         return 0
     return 1

@@ -455,11 +455,23 @@ def _path_costs(spec, i, grid, X, controls, measures):
     return total
 
 
+Estimate = namedtuple("Estimate", "mean se")
+
+
+def mean_se(values):
+    """Monte Carlo Estimate of the mean of values: the standard error is
+    std(ddof=1) / sqrt(n), and 0.0 for a single value. Every reported
+    (mean, se) pair is made here."""
+    values = np.asarray(values)
+    n = len(values)
+    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return Estimate(float(values.mean()), se)
+
+
 def optimal_cost(solution):
-    """Monte Carlo cost of a solved population, (estimate, standard error),
+    """Monte Carlo cost of a solved population, an Estimate (see mean_se)
     from the per-path costs that its solve priced."""
-    costs = solution.costs
-    return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
+    return mean_se(solution.costs)
 
 
 @dataclass
@@ -524,8 +536,7 @@ def verify_sufficiency(spec, i, solution, flows, n_deviations=16, seed=0,
             diff = dev.controls[k] - solution.controls[k]
             gap2 += w[k] * np.sum(diff**2, axis=1)
         per_path = dev_costs - solution.costs - lam * gap2
-        margins[j] = float(per_path.mean())
-        ses[j] = float(per_path.std(ddof=1) / np.sqrt(n))
+        margins[j], ses[j] = mean_se(per_path)
     return SufficiencyReport(
         population=i,
         shifts=shifts,

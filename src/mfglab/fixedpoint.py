@@ -31,7 +31,9 @@ from .measures import (
     ParticleCloud,
     TimeGrid,
     empirical_from_states,
+    jsonable,
     truncate_phi_n,
+    write_csv,
 )
 from .model import COMPETITIVE
 from .rng import parallel_map
@@ -87,6 +89,8 @@ class EquilibriumReport:
     truncation_binding: list = None
 
     def to_dict(self):
+        """The run's settings, and history rows and costs through
+        measures.jsonable; a new HistoryRow field needs only its field."""
         out = {
             "spec_name": self.spec_name,
             "converged": self.converged,
@@ -97,20 +101,8 @@ class EquilibriumReport:
             "theta0": self.config.theta,
             "n_paths": self.config.solver.n_paths,
             "n_steps": self.config.solver.n_steps,
-            "history": [
-                {
-                    "iteration": row.iteration,
-                    "delta": row.delta,
-                    "theta": row.theta,
-                    "deltas": list(row.deltas),
-                    "costs": list(row.costs),
-                    "picard_iterations": list(row.picard_iterations),
-                    "picard_dampings": [list(w) for w in row.picard_dampings],
-                    "contraction": row.contraction,
-                }
-                for row in self.history
-            ],
-            "costs": [{"mean": c[0], "se": c[1]} for c in self.costs],
+            "history": jsonable(self.history),
+            "costs": jsonable(self.costs),
             "delta_ratio": self.delta_ratio,
         }
         if self.truncation_level is not None:
@@ -361,19 +353,8 @@ def write_history_csv(report, path):
     cols = ["iteration", "delta", "theta"]
     for i in range(m):
         cols += ["delta_pop%d" % i, "cost_pop%d" % i, "picard_pop%d" % i]
-    lines = [",".join(cols)]
-    for row in report.history:
-        cells = [
-            "%d" % row.iteration,
-            "%.17g" % row.delta,
-            "%.17g" % row.theta,
-        ]
-        for i in range(m):
-            cells += [
-                "%.17g" % row.deltas[i],
-                "%.17g" % row.costs[i],
-                "%d" % row.picard_iterations[i],
-            ]
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, cols, [
+        [row.iteration, row.delta, row.theta]
+        + [cell for i in range(m) for cell in
+           (row.deltas[i], row.costs[i], row.picard_iterations[i])]
+        for row in report.history])

@@ -7,6 +7,7 @@ a seeded sliced estimator in higher dimension.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 
@@ -312,6 +313,48 @@ def flow_to_csv(flow, path):
             fmt = ("%d,%.17g," % (k, flow.grid.times[k])
                    + ",".join(["%.17g"] * flow.dim) + "\n")
             fh.write((fmt * cloud.n) % tuple(cloud.points.ravel().tolist()))
+
+
+def csv_line(cells):
+    """One CSV line, each cell by its type: bools as true/false, ints as
+    %d and floats as %.17g (numpy ones too), strings as given."""
+    out = []
+    for cell in cells:
+        if isinstance(cell, (bool, np.bool_)):  # before int: bool is an int
+            out.append("true" if cell else "false")
+        elif isinstance(cell, (int, np.integer)):
+            out.append("%d" % cell)
+        elif isinstance(cell, (float, np.floating)):
+            out.append("%.17g" % cell)
+        else:
+            out.append(cell)
+    return ",".join(out)
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one csv_line per row, LF line endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([",".join(header)] + [csv_line(r) for r in rows])
+                 + "\n")
+
+
+def jsonable(value):
+    """value as plain JSON data. Dataclasses and named tuples become
+    objects; tuples, lists and arrays lists; numpy scalars Python ones. A
+    (size, deviation) key becomes "size:deviation", any other key str(key).
+    """
+    if dataclasses.is_dataclass(value):
+        value = vars(value)  # asdict would deep-copy every array
+    elif hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {":".join(map(str, k)) if isinstance(k, tuple) else str(k):
+                jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def flow_from_csv(path):

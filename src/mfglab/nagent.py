@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbsde import _path_costs, euler_scheme, solve_adjoint
+from .fbsde import _path_costs, euler_scheme, mean_se, solve_adjoint
 from .hamiltonian import field_feedback
-from .measures import (ParticleCloud, cells_w2sq, quantile_cells, sliced_w2,
-                       sorted_slices)
+from .measures import (ParticleCloud, cells_w2sq, jsonable, quantile_cells,
+                       sliced_w2, sorted_slices, write_csv)
 from .model import COMPETITIVE, COOPERATIVE, measure_args
 from .rng import parallel_map, restart, stream_keys, substream
 
@@ -298,20 +298,10 @@ class ChaosReport:
     seed: int
 
     def to_dict(self):
-        return {
-            "spec_name": self.spec_name,
-            "N_list": list(self.N_list),
-            "repetitions": self.repetitions,
-            "reference_n": self.reference_n,
-            "estimates": [list(map(float, e)) for e in self.estimates],
-            "standard_errors": [list(map(float, e))
-                                for e in self.standard_errors],
-            "slopes": [float(s) for s in self.slopes],
-            "r_squared": [float(r) for r in self.r_squared],
-            "eps_sq_theory": [list(map(float, e)) for e in self.eps_sq_theory],
-            "bias_check": [list(map(float, b)) for b in self.bias_check],
-            "seed": self.seed,
-        }
+        """Every field but knot_curves, through measures.jsonable; a new
+        report field needs only its dataclass field."""
+        return jsonable({k: v for k, v in vars(self).items()
+                         if k != "knot_curves"})
 
 
 def _chaos_sizes(N_list, reference_factor, repetitions):
@@ -410,12 +400,8 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
         per_knot = full[:, i].mean(axis=0)
         sup_idx = per_knot.argmax(axis=1)
         est = per_knot[np.arange(len(N_list)), sup_idx]
-        se = np.array(
-            [
-                full[:, i, a, sup_idx[a]].std(ddof=1) / np.sqrt(repetitions)
-                for a in range(len(N_list))
-            ]
-        )
+        se = np.array([mean_se(full[:, i, a, sup_idx[a]]).se
+                       for a in range(len(N_list))])
         half_knot = half[:, i].mean(axis=0)
         half_est = half_knot[np.arange(len(N_list)), sup_idx]
         logs_n = np.log(np.asarray(N_list, dtype=float))
@@ -449,22 +435,12 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
 
 
 def chaos_to_csv(report, path):
-    lines = ["population,N,estimate,se,eps_sq_theory,bias_check"]
-    for i in range(len(report.estimates)):
-        for a, n in enumerate(report.N_list):
-            lines.append(
-                "%d,%d,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    i,
-                    n,
-                    report.estimates[i][a],
-                    report.standard_errors[i][a],
-                    report.eps_sq_theory[i][a],
-                    report.bias_check[i][a],
-                )
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["population", "N", "estimate", "se", "eps_sq_theory",
+                     "bias_check"], [
+        [i, n, report.estimates[i][a], report.standard_errors[i][a],
+         report.eps_sq_theory[i][a], report.bias_check[i][a]]
+        for i in range(len(report.estimates))
+        for a, n in enumerate(report.N_list)])
 
 
 # ---------------------------------------------------------------------------
@@ -494,39 +470,11 @@ class NashGapReport:
         return min(self.gains[(n, dev)] for dev in self.deviation_ids)
 
     def to_dict(self):
-        return {
-            "spec_name": self.spec_name,
-            "mode": self.mode,
-            "population": self.population,
-            "N_list": list(self.N_list),
-            "deviations": list(self.deviation_ids),
-            "repetitions": self.repetitions,
-            "open_loop": self.open_loop,
-            "gains": {
-                "%d:%s" % key: val for key, val in sorted(self.gains.items())
-            },
-            "gain_ses": {
-                "%d:%s" % key: val
-                for key, val in sorted(self.gain_ses.items())
-            },
-            "eps_bar_sum": {str(n): v for n, v in self.eps_bar_sum.items()},
-            "normalized": {
-                "%d:%s" % key: val
-                for key, val in sorted(self.normalized.items())
-            },
-            "kappa_by_N": {str(n): v for n, v in self.kappa_by_N.items()},
-            "kappa_floor_by_N": {
-                str(n): v for n, v in self.kappa_floor_by_N.items()
-            },
-            "baseline_costs": {
-                str(n): [{"mean": c[0], "se": c[1]} for c in costs]
-                for n, costs in self.baseline_costs.items()
-            },
-            "meanfield_costs": [
-                {"mean": c[0], "se": c[1]} for c in self.meanfield_costs
-            ],
-            "seed": self.seed,
-        }
+        """Every field through measures.jsonable, deviation_ids as
+        deviations; a new report field needs only its dataclass field."""
+        out = jsonable(self)
+        out["deviations"] = out.pop("deviation_ids")
+        return out
 
 
 def _validate_mode(spec, mode, population):
@@ -590,9 +538,11 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     """
     _require_converged(equilibrium)
     target, unit = _validate_mode(spec, mode, population)
-    # a repeated size is run once: its repetitions would count twice
+    # a repeated size or deviation is run once: its repetitions would
+    # count twice, and a repeated deviation would be reported twice
     N_list = tuple(dict.fromkeys(int(n) for n in N_list))
-    devs = tuple(deviations) if deviations is not None else default_deviations()
+    devs = tuple(dict.fromkeys(deviations if deviations is not None
+                               else default_deviations()))
     m = spec.n_populations
 
     dev_fns = {dev.ident: _deviation_fn(dev, spec, target, equilibrium)
@@ -641,27 +591,14 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
         )
         eps_sum[n] = float(total)
         for dev in devs:
-            vals = np.array([r[2][dev.ident] for r in rows])
-            gains[(n, dev.ident)] = float(vals.mean())
-            gain_ses[(n, dev.ident)] = float(
-                vals.std(ddof=1) / np.sqrt(len(vals))
-                if len(vals) > 1
-                else 0.0
-            )
+            gains[(n, dev.ident)], gain_ses[(n, dev.ident)] = mean_se(
+                [r[2][dev.ident] for r in rows])
             normalized[(n, dev.ident)] = gains[(n, dev.ident)] / total
         low = min(devs, key=lambda dev: gains[(n, dev.ident)])
         kappa[n] = float(max(0.0, -gains[(n, low.ident)]) / total)
         kappa_floor[n] = float(gain_ses[(n, low.ident)] / total)
-        per_pop = []
-        for i in range(m):
-            allc = np.concatenate([r[3][i] for r in rows])
-            per_pop.append(
-                (
-                    float(allc.mean()),
-                    float(allc.std(ddof=1) / np.sqrt(len(allc))),
-                )
-            )
-        baseline_costs[n] = per_pop
+        baseline_costs[n] = [mean_se(np.concatenate([r[3][i] for r in rows]))
+                             for i in range(m)]
 
     return NashGapReport(
         spec_name=spec.name,
@@ -684,19 +621,8 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
 
 
 def nash_to_csv(report, path):
-    lines = ["mode,N,deviation,estimate,se,normalized"]
-    for n in report.N_list:
-        for dev in report.deviation_ids:
-            lines.append(
-                "%s,%d,%s,%.17g,%.17g,%.17g"
-                % (
-                    report.mode,
-                    n,
-                    dev,
-                    report.gains[(n, dev)],
-                    report.gain_ses[(n, dev)],
-                    report.normalized[(n, dev)],
-                )
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["mode", "N", "deviation", "estimate", "se",
+                     "normalized"], [
+        [report.mode, n, dev, report.gains[(n, dev)],
+         report.gain_ses[(n, dev)], report.normalized[(n, dev)]]
+        for n in report.N_list for dev in report.deviation_ids])

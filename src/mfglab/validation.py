@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ParticleCloud
+from .measures import ParticleCloud, jsonable
 from .model import (
     COMPETITIVE,
     COOPERATIVE,
@@ -31,14 +31,8 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "population": self.population,
-            "passed": bool(self.passed),
-            "worst": float(self.worst),
-            "tolerance": float(self.tolerance),
-            "detail": self.detail,
-        }
+        """Every field through measures.jsonable."""
+        return jsonable(self)
 
 
 @dataclass
@@ -55,12 +49,9 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self):
-        return {
-            "spec_name": self.spec_name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "notes": list(self.notes),
-        }
+        """Every field through measures.jsonable, plus passed; a new report
+        field needs only its dataclass field."""
+        return dict(jsonable(self), passed=self.passed)
 
 
 def _spectral(arr):

@@ -391,7 +391,30 @@ def test_truncation_bad_level_rejected(tmp_path, capsys):
     assert main(["truncation-study", "--config", cfg]) == 2
     assert "levels[1]: expected a finite number, got inf" in (
         capsys.readouterr().err)
+    cfg = _write(tmp_path / "c.yaml", _base_config(
+        tmp_path / "out",
+        "experiment:\n  kind: truncation-study\n  levels: [1.0, 1%s]\n"
+        % ("0" * 400)))
+    assert main(["truncation-study", "--config", cfg]) == 2
+    assert "levels[1]: expected a finite number, got inf" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_truncation_level_is_run_once(tmp_path, capsys):
+    outputs = []
+    for name, levels in (("twice", "[0.5, 0.5]"), ("once", "[0.5]")):
+        out = tmp_path / name
+        cfg = _write(tmp_path / "c.yaml", _base_config(
+            out, "experiment:\n  kind: truncation-study\n  levels: %s\n"
+            % levels))
+        assert main(["truncation-study", "--config", cfg]) == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+        assert str(resolved["experiment"]["levels"]) == levels
+        outputs.append([(out / file).read_bytes() for file in
+                        ("report.json", "truncation.csv", "history.csv")]
+                       + [capsys.readouterr().out])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("extra,flags", [
@@ -403,16 +426,19 @@ def test_truncation_bad_level_rejected(tmp_path, capsys):
     ("solver:\n  n_steps: 10\n  picard_tol: .inf\n", []),
     ("fixed_point:\n  fp_tol: .inf\n", []),
     ("", ["--fp-tol", "inf"]),
+    ("solver:\n  n_steps: 10\n  picard_tol: 1%s\n" % ("0" * 400), []),
 ], ids=["picard_tol", "damping", "fp_tol", "theta", "--fp-tol",
-        "picard_tol-inf", "fp_tol-inf", "--fp-tol-inf"])
+        "picard_tol-inf", "fp_tol-inf", "--fp-tol-inf", "picard_tol-huge-int"])
 def test_nan_settings_rejected(tmp_path, capsys, extra, flags):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.yaml",
                  "model: lq-1pop\noutput_dir: %s\n%s" % (out, extra))
     assert main(["solve", "--config", cfg] + flags) == 2
     err = capsys.readouterr().err
-    bad = "inf" if "inf" in extra + "".join(flags) else "nan"
+    # an int too large for a float reads as inf
+    bad = "nan" if "nan" in extra + "".join(flags) else "inf"
     assert err.startswith("config error: ") and bad in err
+    assert "expected a finite number" in err
     assert not out.exists()
 
 

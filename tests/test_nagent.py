@@ -179,6 +179,29 @@ def test_a_repeated_size_is_counted_once():
                          repetitions=2))
 
 
+def test_a_repeated_deviation_is_run_once(monkeypatch):
+    # a repeated deviation was simulated, and its best response solved,
+    # once per listing, and reported twice
+    spec = builtin_game("lq-1pop")
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    solves = []
+    real_solve = nagent.solve_adjoint
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(nagent, "solve_adjoint", counted_solve)
+    devs = (Deviation("shift", 0.25), Deviation("best-response", 0.3))
+    once = nash_gap(spec, eq, (8, 16, 32), deviations=devs, repetitions=2)
+    assert len(solves) == 1
+    twice = nash_gap(spec, eq, (8, 16, 32), deviations=devs + devs,
+                     repetitions=2)
+    assert len(solves) == 2
+    assert (json.dumps(twice.to_dict(), sort_keys=True)
+            == json.dumps(once.to_dict(), sort_keys=True))
+
+
 def test_null_deviation_gains_exactly_zero():
     spec = builtin_game("lq-1pop")
     eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
