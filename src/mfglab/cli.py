@@ -23,10 +23,15 @@ Config schema (all blocks optional unless noted):
       theta: 0.5
     experiment:               # parameters of the chosen subcommand
       kind: solve             # must match the subcommand when present
-      ...                     # see the per-command field lists below
+      ...                     # that subcommand's fields (README)
+
+The loader reads YAML types. The ranges are the config classes' and each
+study's own argument checks'; their field-led ValueError is a config error
+(exit 2), but a nash mode precondition is a run failure (exit 1).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -41,21 +46,20 @@ from .fixedpoint import (
     FixedPointConfig,
     solve_matching,
     truncated_solve,
+    truncation_level,
     write_history_csv,
 )
 from .measures import (csv_line, flow_distance, flow_to_csv, jsonable,
                        write_csv)
 from .model import builtin_game, builtin_library
 from .nagent import (
-    ALL_MODES,
-    DEVIATION_KINDS,
     MODE_COMPETITIVE,
     Deviation,
     StructuralFlagError,
-    _chaos_sizes,
-    _validate_mode,
     chaos_rate,
+    chaos_sizes,
     chaos_to_csv,
+    nash_arguments,
     nash_gap,
     nash_to_csv,
 )
@@ -87,20 +91,20 @@ def _reject_unknown(block, path, known):
             )
 
 
-def _pick_int(block, path, key, default, low=None):
-    value = block.get(key, default)
+def _check_int(value, where, low=None):
+    """value as an int that numpy can index with, at least low if given."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(
-            "%s.%s: expected an integer, got %s" % (path, key, _type_name(value))
-        )
+        raise ConfigError("%s: expected an integer, got %s"
+                          % (where, _type_name(value)))
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError("%s: must fit in signed 64 bits" % where)
     if low is not None and value < low:
-        raise ConfigError("%s.%s: must be >= %d, got %d" % (path, key, low, value))
+        raise ConfigError("%s: must be >= %d, got %d" % (where, low, value))
     return value
 
 
-def _check_float(value, where, low_open=None):
-    """value as a finite float, above low_open when given. Non-finite
-    values are refused first, since no comparison with NaN is true."""
+def _check_float(value, where):
+    """value as a finite float; an int too large for one reads as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
             "%s: expected a number, got %s" % (where, _type_name(value))
@@ -112,53 +116,31 @@ def _check_float(value, where, low_open=None):
     if not math.isfinite(value):
         raise ConfigError("%s: expected a finite number, got %s"
                           % (where, value))
-    if low_open is not None and value <= low_open:
-        raise ConfigError("%s: must be > %g, got %g" % (where, low_open, value))
     return value
 
 
-def _pick_float(block, path, key, default):
-    return _check_float(block.get(key, default), "%s.%s" % (path, key))
-
-
-def _pick_bool(block, path, key, default):
-    value = block.get(key, default)
+def _check_bool(value, where):
     if not isinstance(value, bool):
-        raise ConfigError(
-            "%s.%s: expected true/false, got %s" % (path, key, _type_name(value))
-        )
+        raise ConfigError("%s: expected true/false, got %s"
+                          % (where, _type_name(value)))
     return value
 
 
-def _pick_choice(block, path, key, default, choices):
-    value = block.get(key, default)
-    if value not in choices:
-        raise ConfigError(
-            "%s.%s: expected one of %s, got %r"
-            % (path, key, ", ".join(choices), value)
-        )
-    return value
+def _pick(block, path, key, read, default=None):
+    """read(the block's value at key, or default, and its field path)."""
+    return read(block.get(key, default), "%s.%s" % (path, key))
 
 
-def _pick_int_list(block, path, key, default, low=1):
-    value = block.get(key, None)
-    if value is None:
+def _pick_list(block, path, key, read, default=None):
+    """[read(item, its path)] of the block's non-empty list at key, or
+    default when the key is unset; with no default the key is required."""
+    value = block.get(key)
+    if value is None and default is not None:
         return list(default)
     if not isinstance(value, list) or not value:
-        raise ConfigError(
-            "%s.%s: expected a non-empty list of integers" % (path, key)
-        )
-    out = []
-    for j, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(
-                "%s.%s[%d]: expected an integer, got %s"
-                % (path, key, j, _type_name(item))
-            )
-        if item < low:
-            raise ConfigError("%s.%s[%d]: must be >= %d" % (path, key, j, low))
-        out.append(item)
-    return out
+        raise ConfigError("%s.%s: expected a non-empty list" % (path, key))
+    return [read(item, "%s.%s[%d]" % (path, key, j))
+            for j, item in enumerate(value)]
 
 
 def _load_model(ref):
@@ -200,90 +182,87 @@ def _config_fields(config):
     return [f for f in dataclasses.fields(config) if f.type in (int, float)]
 
 
-def _config_from(block, path, defaults):
-    """defaults with the fields that the block sets. Types are checked
-    here, ranges by the config class, whose ValueError names the field."""
-    fields = _config_fields(defaults)
-    _reject_unknown(block, path, [f.name for f in fields])
-    picked = {}
-    for f in fields:
-        pick = _pick_int if f.type is int else _pick_float
-        picked[f.name] = pick(block, path, f.name, getattr(defaults, f.name))
+def _owned(path, rule, *args, **kwargs):
+    """rule(*args, **kwargs), its field-led ValueError a config error at
+    path; a mode precondition (StructuralFlagError) is not one."""
     try:
-        return dataclasses.replace(defaults, **picked)
+        return rule(*args, **kwargs)
+    except StructuralFlagError:
+        raise
     except ValueError as err:
         raise ConfigError("%s.%s" % (path, err)) from err
 
 
-def _deviations_from(block, path):
-    value = block.get("deviations", None)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError("%s.deviations: expected a non-empty list" % path)
-    out = []
-    for j, item in enumerate(value):
-        here = "%s.deviations[%d]" % (path, j)
-        item = _as_map(item, here)
-        _reject_unknown(item, here, {"kind", "value"})
-        kind = _pick_choice(item, here, "kind", None, DEVIATION_KINDS)
-        if kind in ("shift", "best-response"):
-            if "value" not in item:
-                raise ConfigError("%s.value: required for %s deviations"
-                                  % (here, kind))
-            val = _pick_float(item, here, "value", None)
-            out.append(Deviation(kind, float(val)))
-        else:
-            if "value" in item:
-                raise ConfigError("%s.value: %s deviations take no value" % (here, kind))
-            out.append(Deviation(kind, 0.0))
-    return out
+def _config_from(block, path, defaults):
+    """defaults with the fields that the block sets. Types are checked
+    here, ranges by the config class."""
+    fields = _config_fields(defaults)
+    _reject_unknown(block, path, [f.name for f in fields])
+    picked = {}
+    for f in fields:
+        read = _check_int if f.type is int else _check_float
+        picked[f.name] = _pick(block, path, f.name, read,
+                               getattr(defaults, f.name))
+    return _owned(path, dataclasses.replace, defaults, **picked)
 
 
-def _experiment_from(block, command, n_populations):
+def _deviation(item, where):
+    item = _as_map(item, where)
+    _reject_unknown(item, where, {"kind", "value"})
+    kind = item.get("kind")
+    if kind in ("shift", "best-response") and "value" not in item:
+        raise ConfigError("%s.value: required for %s deviations"
+                          % (where, kind))
+    return _owned(where, Deviation, kind,
+                  _pick(item, where, "value", _check_float, 0.0))
+
+
+def _level(item, where):
+    block, name = where.rsplit(".", 1)  # experiment, levels[j]
+    return _owned(block, truncation_level, _check_float(item, where), name)
+
+
+def _experiment_from(block, command, game):
+    """The experiment block, read as YAML types; the study owns its ranges."""
     path = "experiment"
     kind = block.get("kind", command)
     if kind != command:
         raise ConfigError(
             "%s.kind: config says %r but the subcommand is %r" % (path, kind, command)
         )
-    fields = {"kind"}
     out = {"kind": command}
     if command == "validate":
-        fields |= {"n_samples"}
-        out["n_samples"] = _pick_int(block, path, "n_samples", 100, low=1)
-    elif command == "solve":
-        pass
+        out["n_samples"] = _pick(block, path, "n_samples", lambda value, where:
+                                 _check_int(value, where, 1), 100)
     elif command == "chaos":
-        fields |= {"sizes", "repetitions", "reference_factor"}
-        out["sizes"] = _pick_int_list(block, path, "sizes", (64, 256, 1024, 4096), low=2)
-        out["repetitions"] = _pick_int(block, path, "repetitions", 32, low=2)
-        out["reference_factor"] = _pick_int(block, path, "reference_factor", 16, low=16)
+        out["sizes"] = _pick_list(block, path, "sizes", _check_int,
+                                  (64, 256, 1024, 4096))
+        out["repetitions"] = _pick(block, path, "repetitions", _check_int, 32)
+        out["reference_factor"] = _pick(block, path, "reference_factor",
+                                        _check_int, 16)
+        _owned(path, chaos_sizes, out["sizes"], out["reference_factor"],
+               out["repetitions"])
     elif command == "nash":
-        fields |= {"sizes", "repetitions", "mode", "population", "deviations",
-                   "open_loop"}
-        out["sizes"] = _pick_int_list(block, path, "sizes", (64, 256, 1024), low=2)
-        out["repetitions"] = _pick_int(block, path, "repetitions", 8, low=1)
-        out["mode"] = _pick_choice(block, path, "mode", MODE_COMPETITIVE, ALL_MODES)
-        pop = block.get("population", None)
-        if pop is not None and (isinstance(pop, bool) or not isinstance(pop, int)
-                                or not 0 <= pop < n_populations):
-            raise ConfigError("%s.population: expected a population index in "
-                              "[0, %d), got %r" % (path, n_populations, pop))
-        out["population"] = pop
-        out["deviations"] = _deviations_from(block, path)
-        out["open_loop"] = _pick_bool(block, path, "open_loop", False)
+        out["sizes"] = _pick_list(block, path, "sizes", lambda item, where:
+                                  _check_int(item, where, 2), (64, 256, 1024))
+        if len(set(out["sizes"])) < 3:
+            raise ConfigError("%s.sizes: fewer than 3 system sizes: rate fits "
+                              "are not meaningful" % path)
+        out["repetitions"] = _pick(block, path, "repetitions", _check_int, 8)
+        out["mode"] = block.get("mode", MODE_COMPETITIVE)
+        out["population"] = (None if block.get("population") is None else
+                             _pick(block, path, "population", _check_int))
+        out["deviations"] = (None if block.get("deviations") is None else
+                             _pick_list(block, path, "deviations", _deviation))
+        out["open_loop"] = _pick(block, path, "open_loop", _check_bool, False)
     elif command == "truncation-study":
-        fields |= {"levels"}
-        value = block.get("levels", None)
-        if not isinstance(value, list) or not value:
-            raise ConfigError("%s.levels: expected a non-empty list of positive "
-                              "truncation levels" % path)
-        out["levels"] = [
-            _check_float(item, "%s.levels[%d]" % (path, j), low_open=0.0)
-            for j, item in enumerate(value)
-        ]
-    _reject_unknown(block, path, fields)
+        out["levels"] = _pick_list(block, path, "levels", _level)
+    _reject_unknown(block, path, out)  # out holds every field read
+    if command == "nash":
+        # a mode precondition fails the run in cmd_nash, after the shapes
+        with contextlib.suppress(StructuralFlagError):
+            _owned(path, nash_arguments, game, out["deviations"],
+                   out["repetitions"], out["mode"], out["population"])
     return out
 
 
@@ -318,10 +297,8 @@ def load_config(path, command, seed_override=None, out_override=None,
     game = _load_model(model_ref)
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed: expected an unsigned integer")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed: must fit in unsigned 64 bits")
+    if _seed_error(seed):
+        raise ConfigError("seed: " + _seed_error(seed))
     if seed_override is not None:
         seed = seed_override
 
@@ -341,8 +318,7 @@ def load_config(path, command, seed_override=None, out_override=None,
     fixed_point = _config_from(fp_block, "fixed_point",
                                FixedPointConfig(solver=solver))
     experiment = _experiment_from(
-        _as_map(raw.get("experiment"), "experiment"), command,
-        game.n_populations)
+        _as_map(raw.get("experiment"), "experiment"), command, game)
     return {
         "model_ref": model_ref,
         "game": game,
@@ -355,16 +331,13 @@ def load_config(path, command, seed_override=None, out_override=None,
 
 
 def _resolved_dict(plan):
-    return {
-        "model": plan["model_ref"],
-        "seed": plan["seed"],
-        "output_dir": plan["output_dir"],
-        "solver": {f.name: getattr(plan["solver"], f.name)
-                   for f in _config_fields(plan["solver"])},
-        "fixed_point": {f.name: getattr(plan["fixed_point"], f.name)
-                        for f in _config_fields(plan["fixed_point"])},
-        "experiment": jsonable(plan["experiment"]),
-    }
+    out = {"model": plan["model_ref"], "seed": plan["seed"],
+           "output_dir": plan["output_dir"]}
+    for block in ("solver", "fixed_point"):
+        out[block] = {f.name: getattr(plan[block], f.name)
+                      for f in _config_fields(plan[block])}
+    out["experiment"] = jsonable(plan["experiment"])
+    return out
 
 
 def _write_resolved(plan):
@@ -423,7 +396,6 @@ def cmd_solve(plan, workers, allow_nonconverged):
 
 def cmd_chaos(plan, workers):
     exp = plan["experiment"]
-    _chaos_sizes(exp["sizes"], exp["reference_factor"], exp["repetitions"])
     _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)
@@ -431,8 +403,7 @@ def cmd_chaos(plan, workers):
                         repetitions=exp["repetitions"], seed=plan["seed"],
                         reference_factor=exp["reference_factor"],
                         workers=workers)
-    out = plan["output_dir"]
-    chaos_to_csv(report, os.path.join(out, "chaos.csv"))
+    chaos_to_csv(report, os.path.join(plan["output_dir"], "chaos.csv"))
     _write_json(plan, "report.json", report.to_dict())
     for i, slope in enumerate(report.slopes):
         print("population %d: slope=%.4f r_squared=%.4f" % (
@@ -442,14 +413,10 @@ def cmd_chaos(plan, workers):
 
 def cmd_nash(plan, workers):
     exp = plan["experiment"]
-    if len(set(exp["sizes"])) < 3:
-        print("fewer than 3 system sizes: rate fits are not meaningful",
-              file=sys.stderr)
-        return 1
-    # record the population the study deviates, also when the config
-    # leaves it to the mode
-    exp["population"], _ = _validate_mode(plan["game"], exp["mode"],
-                                          exp["population"])
+    # record the population deviated, also when the mode picks it
+    exp["population"] = nash_arguments(
+        plan["game"], exp["deviations"], exp["repetitions"], exp["mode"],
+        exp["population"])[0]
     _write_resolved(plan)
     equilibrium = solve_matching(plan["game"], plan["fixed_point"],
                                  seed=plan["seed"], workers=workers)
@@ -458,8 +425,7 @@ def cmd_nash(plan, workers):
                       repetitions=exp["repetitions"], seed=plan["seed"],
                       mode=exp["mode"], population=exp["population"],
                       open_loop=exp["open_loop"], workers=workers)
-    out = plan["output_dir"]
-    nash_to_csv(report, os.path.join(out, "nash.csv"))
+    nash_to_csv(report, os.path.join(plan["output_dir"], "nash.csv"))
     _write_json(plan, "report.json", report.to_dict())
     for n in report.N_list:
         print("N=%d: min_gain=%.5g kappa=%.5g floor=%.5g" % (
@@ -502,10 +468,18 @@ def cmd_truncation_study(plan, workers, allow_nonconverged):
     return 1
 
 
+def _seed_error(value):
+    """Why value is no master seed (config seed or --seed), else None."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return "expected an unsigned integer"
+    if not 0 <= value < 2 ** 64:
+        return "must fit in unsigned 64 bits"
+
+
 def _seed_type(text):
     value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in unsigned 64 bits")
+    if _seed_error(value):
+        raise argparse.ArgumentTypeError("seed " + _seed_error(value))
     return value
 
 
@@ -542,19 +516,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         plan = load_config(
             args.config, args.command,
             seed_override=args.seed,
             out_override=args.out,
             fp_tol_override=getattr(args, "fp_tol", None),
         )
-    except ConfigError as err:
-        print("config error: %s" % err, file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("config error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    try:
         if args.command == "validate":
             return cmd_validate(plan, args.workers)
         # misshapen coefficients would broadcast silently in the solver
@@ -566,6 +535,9 @@ def main(argv=None):
         if args.command == "nash":
             return cmd_nash(plan, args.workers)
         return cmd_truncation_study(plan, args.workers, args.allow_nonconverged)
+    except ConfigError as err:
+        print("config error: %s" % err, file=sys.stderr)
+        return 2
     except StructuralFlagError as err:
         print("mode precondition failed: %s" % err, file=sys.stderr)
         return 1

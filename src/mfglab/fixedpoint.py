@@ -281,7 +281,6 @@ def _truncating_population(pop, level):
     other measures; cooperative ones keep the own (live) law untouched and
     truncate only the others.
     """
-    n = float(level)
     trunc_own = pop.cooperation == COMPETITIVE
 
     def wrap(fn, at):
@@ -290,8 +289,8 @@ def _truncating_population(pop, level):
 
         def inner(*args):
             mu, nus = args[at], args[at + 1]
-            tmu = truncate_phi_n(mu, n) if trunc_own else mu
-            tnus = tuple(truncate_phi_n(v, n) for v in nus)
+            tmu = truncate_phi_n(mu, level) if trunc_own else mu
+            tnus = tuple(truncate_phi_n(v, level) for v in nus)
             return fn(*args[:at], tmu, tnus, *args[at + 2:])
 
         return inner
@@ -324,6 +323,14 @@ def _truncation_binding(spec, flows, level):
     return out
 
 
+def truncation_level(level, name="level"):
+    """float(level); a ValueError led by name unless positive and finite."""
+    if not 0 < level < np.inf:  # NaN fails too
+        raise ValueError("%s: must be positive and finite, got %s"
+                         % (name, level))
+    return float(level)
+
+
 def truncated_solve(spec, level, config=None, seed=0, workers=1):
     """solve_matching with measure arguments truncated at the given level.
 
@@ -333,17 +340,16 @@ def truncated_solve(spec, level, config=None, seed=0, workers=1):
     population, the knots of the reported equilibrium's input flows where
     truncation changed a measure, with the particles of the bound clouds.
     """
-    if not 0 < level < np.inf:  # NaN fails too
-        raise ValueError("truncation level must be positive and finite")
+    level = truncation_level(level)
     cfg = config if config is not None else FixedPointConfig()
     pops = tuple(_truncating_population(pop, level)
                  for pop in spec.populations)
     wrapped = dataclasses.replace(spec, populations=pops)
     report = solve_matching(wrapped, cfg, seed=seed, workers=workers)
     report.spec_name = spec.name
-    report.truncation_level = float(level)
+    report.truncation_level = level
     report.truncation_binding = _truncation_binding(
-        spec, report.input_flows, float(level))
+        spec, report.input_flows, level)
     return report
 
 

@@ -75,7 +75,13 @@ class Deviation:
 
     def __post_init__(self):
         if self.kind not in DEVIATION_KINDS:
-            raise ValueError("unknown deviation kind %r" % self.kind)
+            raise ValueError("kind: unknown deviation, expected one of %s, "
+                             "got %r" % (", ".join(DEVIATION_KINDS), self.kind))
+        if not np.isfinite(self.value):
+            raise ValueError("value: expected a finite number, got %s"
+                             % self.value)
+        if self.kind in ("anchor", "null") and self.value != 0:
+            raise ValueError("value: %s deviations take no value" % self.kind)
 
     @property
     def ident(self):
@@ -304,24 +310,24 @@ class ChaosReport:
                          if k != "knot_curves"})
 
 
-def _chaos_sizes(N_list, reference_factor, repetitions):
+def chaos_sizes(N_list, reference_factor, repetitions):
     """The sorted distinct sizes of a chaos study (a repeated size would
-    weigh twice in the fit); raises ValueError when one is below 2, they
-    cannot fit the rate, the reference is too coarse or fewer than 2
-    repetitions leave no standard error."""
+    weigh twice in the fit). Raises ValueError, led by the argument, when
+    a size is below 2, the sizes cannot fit the rate, the reference is too
+    coarse or fewer than 2 repetitions leave no standard error."""
     N_list = tuple(sorted(int(n) for n in N_list))
     if len(set(N_list)) < 3:
         raise ValueError(
-            "fit refused: need at least 3 distinct population sizes, got %r"
-            % (N_list,)
-        )
+            "sizes: fit refused: need at least 3 distinct population sizes, "
+            "got %r" % (N_list,))
     if N_list[0] < 2:
-        raise ValueError("chaos sizes must be at least 2, got %d" % N_list[0])
+        raise ValueError("sizes: must be at least 2, got %d" % N_list[0])
     if reference_factor < 16:
-        raise ValueError("reference resolution must be at least 16x max N")
+        raise ValueError("reference_factor: the reference resolution must be "
+                         "at least 16x max N, got %d" % reference_factor)
     if repetitions < 2:
-        raise ValueError("chaos needs at least 2 repetitions, got %d"
-                         % repetitions)
+        raise ValueError("repetitions: chaos needs at least 2 repetitions, "
+                         "got %d" % repetitions)
     return tuple(sorted(set(N_list)))
 
 
@@ -336,11 +342,11 @@ def chaos_rate(spec, equilibrium, N_list, repetitions=32, seed=0,
     The reference uses reference_factor times the largest N (at least
     16x); a half-resolution reference is evaluated alongside as a bias
     self-check. In d = 1 each reference knot keeps only its quantile cells
-    per N, so a W2 is one pass over N sorted points. Fitting needs at
-    least 3 distinct sizes, each at least 2, and at least 2 repetitions.
+    per N, so a W2 is one pass over N sorted points. chaos_sizes checks
+    the arguments before any simulation.
     """
+    N_list = chaos_sizes(N_list, reference_factor, repetitions)
     _require_converged(equilibrium)
-    N_list = _chaos_sizes(N_list, reference_factor, repetitions)
     n_max = N_list[-1]
     n_ref = int(reference_factor) * n_max
     m = spec.n_populations
@@ -481,11 +487,11 @@ def _validate_mode(spec, mode, population):
     """(deviating population, "agent" or "population") of a Nash study;
     raises StructuralFlagError when the game does not support the mode."""
     if population is not None and not 0 <= population < spec.n_populations:
-        raise ValueError("population index %d is outside [0, %d)"
+        raise ValueError("population: index %r is outside [0, %d)"
                          % (population, spec.n_populations))
-    if mode not in _MODES:
-        raise ValueError("unknown mode %r; expected one of %s"
-                         % (mode, ", ".join(ALL_MODES)))
+    if mode not in ALL_MODES:
+        raise ValueError("mode: expected one of %s, got %r"
+                         % (", ".join(ALL_MODES), mode))
     kind, flag, unit = _MODES[mode]
     kinds = [p.cooperation for p in spec.populations]
     both = COMPETITIVE in kinds and COOPERATIVE in kinds
@@ -504,6 +510,22 @@ def _validate_mode(spec, mode, population):
         raise StructuralFlagError("%s deviates a %s population; population "
                                   "%d is not %s" % (mode, kind, target, kind))
     return target, unit
+
+
+def nash_arguments(spec, deviations, repetitions, mode, population):
+    """(deviating population, unit, distinct deviations) of a Nash study;
+    raises ValueError led by the argument (also when two deviations share
+    an ident, the report's row name), then _validate_mode's errors."""
+    if repetitions < 1:
+        raise ValueError("repetitions: must be >= 1, got %s" % repetitions)
+    named = {}
+    for dev in dict.fromkeys(default_deviations() if deviations is None
+                             else deviations):
+        first = named.setdefault(dev.ident, dev)
+        if first is not dev:
+            raise ValueError("deviations: %r and %r both report as %r"
+                             % (first, dev, dev.ident))
+    return _validate_mode(spec, mode, population) + (tuple(named.values()),)
 
 
 def _open_loop(spec, equilibrium, i, mask, bundles, dev_fn):
@@ -530,19 +552,17 @@ def nash_gap(spec, equilibrium, N_list=(64, 256, 1024), deviations=None,
     whole population deviating exchangeably, per mode) swaps its control
     for the deviation while everyone else keeps the equilibrium feedback;
     the gain J(deviation) - J(equilibrium) is estimated with common
-    random numbers agent by agent. Mode preconditions (cooperation kinds
-    and structural flags) are checked before any simulation, and each
-    best response is solved once, its value the control-cost tilt. With
-    open_loop, every deviation but null is precommitted along the
-    deviator's own i.i.d. copy path.
+    random numbers agent by agent. nash_arguments checks the arguments and
+    mode preconditions before any simulation, and each best response is
+    solved once, its value the control-cost tilt. With open_loop, every
+    deviation but null is precommitted along the deviator's own i.i.d.
+    copy path.
     """
+    target, unit, devs = nash_arguments(spec, deviations, repetitions, mode,
+                                        population)
     _require_converged(equilibrium)
-    target, unit = _validate_mode(spec, mode, population)
-    # a repeated size or deviation is run once: its repetitions would
-    # count twice, and a repeated deviation would be reported twice
+    # a repeated size is run once: its repetitions would count twice
     N_list = tuple(dict.fromkeys(int(n) for n in N_list))
-    devs = tuple(dict.fromkeys(deviations if deviations is not None
-                               else default_deviations()))
     m = spec.n_populations
 
     dev_fns = {dev.ident: _deviation_fn(dev, spec, target, equilibrium)

@@ -295,7 +295,7 @@ def test_chaos_requires_three_distinct_sizes(tmp_path, capsys):
         out,
         "experiment:\n  kind: chaos\n  sizes: [16, 16, 32]\n"
         "  repetitions: 2\n"))
-    assert main(["chaos", "--config", cfg]) == 1
+    assert main(["chaos", "--config", cfg]) == 2
     assert "fit refused" in capsys.readouterr().err
     assert not out.exists()
 
@@ -310,7 +310,7 @@ def test_nash_requires_three_distinct_sizes(tmp_path, capsys, monkeypatch):
         out,
         "experiment:\n  kind: nash\n  sizes: [8, 8, 16]\n"
         "  repetitions: 2\n"))
-    assert main(["nash", "--config", cfg]) == 1
+    assert main(["nash", "--config", cfg]) == 2
     assert "fewer than 3" in capsys.readouterr().err
     assert not out.exists()
 
@@ -452,6 +452,8 @@ def test_nan_settings_rejected(tmp_path, capsys, extra, flags):
     ("fixed_point", "fp_tol", -1.0e-3),
     ("fixed_point", "max_iterations", 0),
     ("fixed_point", "theta", 0.0),
+    ("solver", "n_paths", 10 ** 30),
+    ("solver", "max_picard", 2 ** 63),
 ])
 def test_out_of_range_setting_names_its_field(tmp_path, capsys, block, field,
                                               value):
@@ -462,6 +464,50 @@ def test_out_of_range_setting_names_its_field(tmp_path, capsys, block, field,
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: %s.%s: " % (block, field))
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 30
+
+
+# (command, experiment lines, field): each rule of the experiment block, the
+# studies' own and the command line's, and an integer too large for numpy
+@pytest.mark.parametrize("command, body, field", [
+    ("chaos", "  sizes: [1, 8, 16]\n", "sizes"),
+    ("chaos", "  sizes: [8, 8, 16]\n", "sizes"),
+    ("chaos", "  repetitions: 1\n", "repetitions"),
+    ("chaos", "  reference_factor: 8\n", "reference_factor"),
+    ("chaos", "  repetitions: %s\n" % _HUGE, "repetitions"),
+    ("chaos", "  sizes: [8, 16, %s]\n" % _HUGE, "sizes[2]"),
+    ("nash", "  mode: sideways\n", "mode"),
+    ("nash", "  population: 1\n", "population"),
+    ("nash", "  population: %s\n" % _HUGE, "population"),
+    ("nash", "  repetitions: 0\n", "repetitions"),
+    ("nash", "  sizes: [8, 8, 16]\n", "sizes"),
+    ("nash", "  sizes: [1, 8, 16]\n", "sizes[0]"),
+    ("nash", "  deviations:\n    - {kind: teleport}\n", "deviations[0].kind"),
+    ("nash", "  deviations:\n    - {kind: anchor, value: 0.3}\n",
+     "deviations[0].value"),
+    ("nash", "  deviations:\n    - {kind: shift}\n", "deviations[0].value"),
+    ("nash", "  deviations:\n    - {kind: shift, value: 0.1}\n"
+     "    - {kind: shift, value: 0.1000001}\n", "deviations"),
+    ("truncation-study", "  levels: [1.0, -2.0]\n", "levels[1]"),
+    ("truncation-study", "  levels: [0]\n", "levels[0]"),
+    ("validate", "  n_samples: %s\n" % _HUGE, "n_samples"),
+], ids=["chaos-size-1", "chaos-2-sizes", "chaos-repetitions",
+        "chaos-reference", "chaos-huge-repetitions", "chaos-huge-size",
+        "nash-mode", "nash-population", "nash-huge-population",
+        "nash-repetitions", "nash-2-sizes", "nash-size-1", "deviation-kind",
+        "anchor-value", "shift-without-value", "colliding-deviations",
+        "negative-level", "zero-level", "validate-huge-n_samples"])
+def test_experiment_rule_is_a_config_error(tmp_path, capsys, command, body,
+                                           field):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.yaml", _base_config(
+        out, "experiment:\n  kind: %s\n%s" % (command, body)))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiment.%s: " % field), err
     assert not out.exists()
 
 

@@ -321,6 +321,17 @@ def test_truncation_level_must_be_positive():
         truncated_solve(spec, np.inf, SMALL, seed=0)
 
 
+@pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
+def test_truncation_level_refused_before_solving(monkeypatch, level):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before checking the level")
+
+    monkeypatch.setattr(fixedpoint, "solve_matching", refuse)
+    with pytest.raises(ValueError, match="^level: must be positive and "
+                       "finite, got %s$" % level):
+        truncated_solve(builtin_game("lq-1pop"), level, SMALL, seed=0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="theta"):
         FixedPointConfig(theta=0.0)

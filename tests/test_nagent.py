@@ -117,6 +117,72 @@ def test_chaos_needs_three_sizes_and_deep_reference(monkeypatch):
             chaos_rate(spec, eq, [16, 32, 64], repetitions=reps)
 
 
+def _refuse_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking the arguments")
+
+    for name in ("simulate_iid_copies", "simulate_interacting",
+                 "_draw_bundles", "solve_adjoint"):
+        monkeypatch.setattr(nagent, name, refuse)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"N_list": [1, 8, 16]}, "sizes"),
+    ({"N_list": [8, 8, 16]}, "sizes"),
+    ({"repetitions": 1}, "repetitions"),
+    ({"reference_factor": 8}, "reference_factor"),
+])
+def test_chaos_rate_refuses_by_field(monkeypatch, kwargs, field):
+    _refuse_simulation(monkeypatch)
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    args = dict({"N_list": [8, 16, 32], "repetitions": 2}, **kwargs)
+    with pytest.raises(ValueError, match="^%s: " % field):
+        chaos_rate(builtin_game("lq-1pop"), eq, **args)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"repetitions": 0}, "repetitions"),
+    ({"mode": "sideways"}, "mode"),
+    ({"population": 1}, "population"),
+])
+def test_nash_gap_refuses_by_field(monkeypatch, kwargs, field):
+    _refuse_simulation(monkeypatch)
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    args = dict({"N_list": (8, 16, 32), "repetitions": 2}, **kwargs)
+    with pytest.raises(ValueError, match="^%s: " % field):
+        nash_gap(builtin_game("lq-1pop"), eq, **args)
+
+
+def test_deviations_sharing_an_ident_are_refused(monkeypatch):
+    # %g keeps 6 digits, so both shifts would report as shift:+0.1 and the
+    # first one's gains would be lost under the second's
+    _refuse_simulation(monkeypatch)
+    eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
+    with pytest.raises(ValueError) as err:
+        nash_gap(builtin_game("lq-1pop"), eq, (8, 16, 32),
+                 deviations=(Deviation("shift", 0.1), Deviation("null"),
+                             Deviation("shift", 0.1000001)), repetitions=2)
+    assert str(err.value) == (
+        "deviations: Deviation(kind='shift', value=0.1) and "
+        "Deviation(kind='shift', value=0.1000001) both report as "
+        "'shift:+0.1'")
+
+
+@pytest.mark.parametrize("kind, value, match", [
+    ("teleport", 0.0, "^kind: "),
+    # the text README quotes for a bare YAML null
+    (None, 0.0, "^kind: .*expected one of shift, anchor, null, "
+     "best-response, got None$"),
+    ("shift", float("nan"), "^value: "),
+    ("best-response", float("inf"), "^value: "),
+    ("anchor", 0.3, "^value: anchor deviations take no value$"),
+    ("null", -1.0, "^value: "),
+])
+def test_deviation_refuses_by_field(kind, value, match):
+    with pytest.raises(ValueError, match=match):
+        Deviation(kind, value)
+
+
 def test_studies_run_the_public_simulators(monkeypatch):
     spec = builtin_game("mixed-opec")
     eq = cached_equilibrium("mixed-opec", n_steps=10, n_paths=512)
