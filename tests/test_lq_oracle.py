@@ -143,15 +143,148 @@ def test_oracle_mean_matches_uncoupled_expectation():
     assert np.max(np.abs(sol.means_on(grid, 0))) <= 1e-12
 
 
+def _lq2d_mixed_game():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
+                        "models", "lq2d_mixed.py")
+    return runpy.run_path(path)["make_game"]()
+
+
+def _lq2d_mixed_crossed():
+    """lq2d_mixed with C, S_bar and G_bar on the competitive traders and
+    the cooperative planners; no shipped game sets G_bar."""
+    lq = lq_from_game(_lq2d_mixed_game())
+    traders, planners = lq.blocks
+    traders = dataclasses.replace(traders,
+                                  G_bar=([[0.15, -0.05], [0.1, 0.2]],))
+    planners = dataclasses.replace(planners, C=([[0.05, 0.1], [-0.1, 0.0]],),
+                                   G_bar=([[0.1, 0.0], [0.2, -0.15]],))
+    return dataclasses.replace(lq, blocks=(traders, planners))
+
+
+# solve_lq_riccati at 50 steps, refine 10, per population:
+# (cost, P(0), offset(0), mean(T), cov(T))
+ORACLE_PINS = {
+    "lq-scalar": [
+        (0.8350565992135657,
+         [[0.913670934039996]],
+         [0.0],
+         [0.0],
+         [[0.7718351444408491]]),
+    ],
+    "lq-1pop": [
+        (0.8169255620657341,
+         [[0.913670934039996]],
+         [-0.1525171897572671],
+         [0.5177836904954201],
+         [[0.6066297201501715]]),
+    ],
+    "lq-bimodal": [
+        (0.3565450251964194,
+         [[0.913670934039996]],
+         [0.0],
+         [0.0],
+         [[0.230987285849003]]),
+    ],
+    "lq-2pop-competitive": [
+        (1.0757711462034336,
+         [[0.913670934039996]],
+         [0.11487766410442528],
+         [0.4349439965984324],
+         [[0.6066297201501715]]),
+        (1.1361898155764056,
+         [[0.913670934039996]],
+         [-0.1634583556834414],
+         [-0.41990021017735646],
+         [[0.6066297201501715]]),
+    ],
+    "lq-2pop-cooperative": [
+        (0.6241664124910696,
+         [[0.7716334137332644]],
+         [0.5788647915780859],
+         [0.6041572459591339],
+         [[0.35968638567012695]]),
+        (0.4325748479026121,
+         [[0.7716334137332644]],
+         [-0.3542977814737627],
+         [-0.2779026352871023],
+         [[0.35968638567012695]]),
+    ],
+    "mixed-opec": [
+        (0.8234346621387515,
+         [[0.7716334137332644]],
+         [0.8836811990303293],
+         [0.87135833639101],
+         [[0.205702891699486]]),
+        (0.3592059711100836,
+         [[0.913670934039996]],
+         [-0.2389241276814936],
+         [0.3128590223512093],
+         [[0.3882430208961095]]),
+    ],
+    "lq2d-mixed": [
+        (0.9619205311707253,
+         [[0.7663357617764324, 0.062245690846364506],
+          [0.062245690846364506, 0.851030689917936]],
+         [0.015355310698431573, -0.06101094241585167],
+         [0.3269496783045639, -0.22956723027488896],
+         [[0.24221158917452804, 0.10554045053797108],
+          [0.10554045053797108, 0.21621008464538702]]),
+        (0.7044570296345581,
+         [[0.8020005446637142, -0.0343817360604687],
+          [-0.03438173606046871, 0.7758549803483965]],
+         [-0.3584314396800563, 0.42536624598478073],
+         [-0.3744079633471211, 0.4390922696654365],
+         [[0.18148955810137862, -0.06043272563885889],
+          [-0.06043272563885889, 0.23615456014691621]]),
+    ],
+    "lq2d-mixed-crossed": [
+        (0.9809335214057415,
+         [[0.7663357617764324, 0.062245690846364506],
+          [0.062245690846364506, 0.851030689917936]],
+         [0.032672365383163884, -0.06596371987228056],
+         [0.3087098091896262, -0.2196949204903509],
+         [[0.24221158917452804, 0.10554045053797108],
+          [0.10554045053797108, 0.21621008464538702]]),
+        (0.6804399303473161,
+         [[0.8020005446637142, -0.0343817360604687],
+          [-0.03438173606046871, 0.7758549803483965]],
+         [-0.3683166324588118, 0.38472029096298127],
+         [-0.3669227119124199, 0.4230034198311864],
+         [[0.18148955810137862, -0.06043272563885889],
+          [-0.06043272563885889, 0.23615456014691621]]),
+    ],
+}
+
+
+def _oracle_pin_game(name):
+    if name == "lq2d-mixed":
+        return lq_from_game(_lq2d_mixed_game())
+    if name == "lq2d-mixed-crossed":
+        return _lq2d_mixed_crossed()
+    return lq_from_game(builtin_game(name))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PINS))
+def test_oracle_outputs_are_pinned(name):
+    # every oracle output the solver's gates read, including the 2-
+    # population costs, the adjoint offsets and the G_bar terminal terms
+    lq = _oracle_pin_game(name)
+    sol = solve_lq_riccati(lq, TimeGrid(1.0, 50))
+    assert len(ORACLE_PINS[name]) == len(lq.blocks)
+    for i, (cost, P0, offset0, meanT, covT) in enumerate(ORACLE_PINS[name]):
+        got = (sol.costs[i], sol.P[i][0], sol.offset[i][0], sol.mean[i][-1],
+               sol.cov[i][-1])
+        for value, pin in zip(got, (cost, P0, offset0, meanT, covT)):
+            np.testing.assert_allclose(value, pin, rtol=1e-12, atol=0.0)
+
+
 def test_lq2d_mixed_means_match_riccati():
     # the only 2-d game: non-diagonal A, correlated sigma and cross-
     # population S_bar, so it checks the cross-term features and the d = 2
     # drift, noise and mean kernels against the matrix Riccati oracle, at
     # acceptance 2's budget (its constant diffusion reads no Z; the Z
     # regression is gated by the state-linear diffusion test below)
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
-                        "models", "lq2d_mixed.py")
-    spec = runpy.run_path(path)["make_game"]()
+    spec = _lq2d_mixed_game()
     report = solve_matching(spec, FixedPointConfig(), seed=0)
     assert report.converged
     grid = report.flows[0].grid
