@@ -648,8 +648,16 @@ class LqSolution:
         return np.stack([self.P_at(i, t) for t in grid.times])
 
 
-def _riccati_rhs(P, A, K, W):
-    return P @ K @ P - P @ A - A.T @ P - W
+def _rk4_step(f, j, y, h):
+    """One classical RK4 step of y' = f(k, y) with signed step h. A forward
+    step reads the half-step grid at k = j at its start, j + 1 at its
+    midpoint and j + 2 at its end; the autonomous Riccati equation, stepped
+    backward, ignores k."""
+    k1 = f(j, y)
+    k2 = f(j + 1, y + 0.5 * h * k1)
+    k3 = f(j + 1, y + 0.5 * h * k2)
+    k4 = f(j + 2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def solve_lq_riccati(lq, grid, refine=10):
@@ -657,31 +665,30 @@ def solve_lq_riccati(lq, grid, refine=10):
 
     Returns per-population Riccati matrices, equilibrium means, adjoint
     offsets, state covariances, and total costs. Raises RiccatiError when
-    any Riccati norm passes 1e8 (horizon too long for the data).
+    any Riccati norm passes 1e8 (horizon too long for the data). P is
+    integrated backward on the half-step grid, so the forward RK4 steps of
+    the means, offsets and covariances read it exactly at their midpoints.
     """
     m = len(lq.blocks)
     dims = [blk.dim_x for blk in lq.blocks]
     T = lq.horizon
     n_ref = int(refine) * grid.n_steps
-    n_half = 2 * n_ref
-    h2 = T / n_half
-    times_ref = np.linspace(0.0, T, n_ref + 1)
-
+    h = T / n_ref
+    h2 = T / (2 * n_ref)
+    coop = [kind == COOPERATIVE for kind in lq.cooperation]
+    others = [[jj for jj in range(m) if jj != i] for i in range(m)]
     Kmat = [blk.B @ np.linalg.solve(blk.R, blk.B.T) for blk in lq.blocks]
 
     # Riccati matrices on the half-step grid, integrated backward from T.
     P_half = []
     for i, blk in enumerate(lq.blocks):
-        d = dims[i]
-        P = np.empty((n_half + 1, d, d))
-        P[n_half] = blk.Wg
-        cur = blk.Wg.copy()
-        for j in range(n_half, 0, -1):
-            k1 = _riccati_rhs(cur, blk.A, Kmat[i], blk.W)
-            k2 = _riccati_rhs(cur - 0.5 * h2 * k1, blk.A, Kmat[i], blk.W)
-            k3 = _riccati_rhs(cur - 0.5 * h2 * k2, blk.A, Kmat[i], blk.W)
-            k4 = _riccati_rhs(cur - h2 * k3, blk.A, Kmat[i], blk.W)
-            cur = cur - (h2 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        def riccati(_, P):
+            return P @ Kmat[i] @ P - P @ blk.A - blk.A.T @ P - blk.W
+
+        P = np.empty((2 * n_ref + 1,) + blk.Wg.shape)
+        P[-1] = cur = blk.Wg
+        for j in range(2 * n_ref, 0, -1):
+            cur = _rk4_step(riccati, 0, cur, -h2)
             if np.linalg.norm(cur) > 1e8:
                 raise RiccatiError(
                     "Riccati norm exceeded 1e8 near t=%g for population %d; "
@@ -690,89 +697,75 @@ def solve_lq_riccati(lq, grid, refine=10):
             P[j - 1] = cur
         P_half.append(P)
 
-    # Linear system v = (means, offsets): v' = M(t) v + r(t).
+    # Linear system v = (means, offsets): v' = M(t) v + r(t). The blocks
+    # that do not read P are built once; each evaluation writes only the
+    # competitive populations' P-dependent blocks into a copy.
     offs = np.concatenate(([0], np.cumsum(dims)))
     nd = offs[-1]
+    own = [slice(offs[i], offs[i + 1]) for i in range(m)]
+    adj = [slice(nd + offs[i], nd + offs[i + 1]) for i in range(m)]
+    M0 = np.zeros((2 * nd, 2 * nd))
+    r0 = np.zeros(2 * nd)
+    live = []
+    for i, blk in enumerate(lq.blocks):
+        sl, sw = own[i], adj[i]
+        M0[sl, sw] = -Kmat[i]
+        r0[sl] = blk.a
+        for pos, jj in enumerate(others[i]):
+            M0[sl, own[jj]] += blk.cross("C", pos)
+        if coop[i]:
+            IS = np.eye(dims[i]) - blk.S
+            ISW = IS.T @ blk.W
+            M0[sl, sl] = blk.A + blk.A_bar
+            M0[sw, sw] = -(blk.A + blk.A_bar).T
+            M0[sw, sl] = -ISW @ IS
+            r0[sw] = ISW @ blk.s
+            for pos, jj in enumerate(others[i]):
+                M0[sw, own[jj]] += ISW @ blk.cross("S_bar", pos)
+        else:
+            M0[sw, sl] = blk.W @ blk.S
+            live.append((i, blk, blk.W @ blk.s, [
+                (own[jj], blk.W @ blk.cross("S_bar", pos), blk.cross("C", pos))
+                for pos, jj in enumerate(others[i])]))
 
-    def build_M_r(j):
-        M = np.zeros((2 * nd, 2 * nd))
-        r = np.zeros(2 * nd)
-        for i, blk in enumerate(lq.blocks):
-            sl = slice(offs[i], offs[i + 1])
-            sw = slice(nd + offs[i], nd + offs[i + 1])
+    def mean_offset(j, Y):
+        M = M0.copy()
+        r = r0.copy()
+        for i, blk, Ws, cross in live:
             P = P_half[i][j]
-            coop = lq.cooperation[i] == COOPERATIVE
-            others = [jj for jj in range(m) if jj != i]
-            if coop:
-                M[sl, sl] = blk.A + blk.A_bar
-            else:
-                M[sl, sl] = blk.A - Kmat[i] @ P
-            M[sl, sw] = -Kmat[i]
-            r[sl] = blk.a
-            for pos, jj in enumerate(others):
-                so = slice(offs[jj], offs[jj + 1])
-                M[sl, so] += blk.cross("C", pos)
-            if coop:
-                IS = np.eye(dims[i]) - blk.S
-                M[sw, sw] = -(blk.A + blk.A_bar).T
-                M[sw, sl] = -IS.T @ blk.W @ IS
-                r[sw] = IS.T @ blk.W @ blk.s
-                for pos, jj in enumerate(others):
-                    so = slice(offs[jj], offs[jj + 1])
-                    M[sw, so] += IS.T @ blk.W @ blk.cross("S_bar", pos)
-            else:
-                M[sw, sw] = P @ Kmat[i] - blk.A.T
-                M[sw, sl] = blk.W @ blk.S
-                r[sw] = blk.W @ blk.s - P @ blk.a
-                for pos, jj in enumerate(others):
-                    so = slice(offs[jj], offs[jj + 1])
-                    M[sw, so] += (blk.W @ blk.cross("S_bar", pos)
-                                  - P @ blk.cross("C", pos))
-        return M, r
-
-    # Fundamental matrix and particular solution, forward with step h.
-    h = T / n_ref
-    aug = np.zeros((2 * nd, 2 * nd + 1))
-    aug[:, : 2 * nd] = np.eye(2 * nd)
-    psi_path = np.empty((n_ref + 1, 2 * nd, 2 * nd + 1))
-    psi_path[0] = aug
-
-    def rhs(j, Y):
-        M, r = build_M_r(j)
+            sl, sw = own[i], adj[i]
+            M[sl, sl] = blk.A - Kmat[i] @ P
+            M[sw, sw] = P @ Kmat[i] - blk.A.T
+            r[sw] = Ws - P @ blk.a
+            for so, WS_bar, C in cross:
+                M[sw, so] += WS_bar - P @ C
         out = M @ Y
         out[:, -1] += r
         return out
 
-    cur = aug
+    # Fundamental matrix and particular solution, forward with step h.
+    psi_path = np.empty((n_ref + 1, 2 * nd, 2 * nd + 1))
+    psi_path[0] = np.eye(2 * nd, 2 * nd + 1)
     for j in range(n_ref):
-        k1 = rhs(2 * j, cur)
-        k2 = rhs(2 * j + 1, cur + 0.5 * h * k1)
-        k3 = rhs(2 * j + 1, cur + 0.5 * h * k2)
-        k4 = rhs(2 * j + 2, cur + h * k3)
-        cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        psi_path[j + 1] = cur
+        psi_path[j + 1] = _rk4_step(mean_offset, 2 * j, psi_path[j], h)
 
     # Terminal constraint rows: Ct v(T) = c.
     Ct = np.zeros((nd, 2 * nd))
     c = np.zeros(nd)
     for i, blk in enumerate(lq.blocks):
-        sl = slice(offs[i], offs[i + 1])
-        coop = lq.cooperation[i] == COOPERATIVE
-        others = [jj for jj in range(m) if jj != i]
-        Ct[sl, nd + offs[i] : nd + offs[i + 1]] = np.eye(dims[i])
-        if coop:
+        sl = own[i]
+        Ct[sl, adj[i]] = np.eye(dims[i])
+        if coop[i]:
             IG = np.eye(dims[i]) - blk.G
-            Ct[sl, sl] += -IG.T @ blk.Wg @ IG
-            c[sl] = -IG.T @ blk.Wg @ blk.h
-            for pos, jj in enumerate(others):
-                so = slice(offs[jj], offs[jj + 1])
-                Ct[sl, so] += IG.T @ blk.Wg @ blk.cross("G_bar", pos)
+            weight = IG.T @ blk.Wg
+            Ct[sl, sl] += -weight @ IG
+            c[sl] = -weight @ blk.h
         else:
+            weight = blk.Wg
             Ct[sl, sl] += blk.Wg @ blk.G
             c[sl] = -blk.Wg @ blk.h
-            for pos, jj in enumerate(others):
-                so = slice(offs[jj], offs[jj + 1])
-                Ct[sl, so] += blk.Wg @ blk.cross("G_bar", pos)
+        for pos, jj in enumerate(others[i]):
+            Ct[sl, own[jj]] += weight @ blk.cross("G_bar", pos)
 
     m0 = np.concatenate([np.asarray(mu, dtype=float) for mu in lq.init_mean])
     PsiT = psi_path[n_ref][:, : 2 * nd]
@@ -783,74 +776,61 @@ def solve_lq_riccati(lq, grid, refine=10):
     v0 = np.concatenate([m0, w0])
     v_path = np.einsum("jab,b->ja", psi_path[:, :, : 2 * nd], v0) + psi_path[:, :, -1]
 
-    means = [v_path[:, offs[i] : offs[i + 1]] for i in range(m)]
-    offsets = [v_path[:, nd + offs[i] : nd + offs[i + 1]] for i in range(m)]
+    means = [v_path[:, own[i]] for i in range(m)]
+    offsets = [v_path[:, adj[i]] for i in range(m)]
 
     # State covariances, forward: V' = F V + V F' + sigma sigma'.
     covs = []
     for i, blk in enumerate(lq.blocks):
-        d = dims[i]
-        V = np.empty((n_ref + 1, d, d))
-        V[0] = np.asarray(lq.init_cov[i], dtype=float)
         SS = blk.sigma @ blk.sigma.T
 
-        def vf(j, Vc):
+        def lyapunov(j, V):
             F = blk.A - Kmat[i] @ P_half[i][j]
-            return F @ Vc + Vc @ F.T + SS
+            return F @ V + V @ F.T + SS
 
-        cur = V[0]
+        V = np.empty((n_ref + 1, dims[i], dims[i]))
+        V[0] = np.asarray(lq.init_cov[i], dtype=float)
         for j in range(n_ref):
-            k1 = vf(2 * j, cur)
-            k2 = vf(2 * j + 1, cur + 0.5 * h * k1)
-            k3 = vf(2 * j + 1, cur + 0.5 * h * k2)
-            k4 = vf(2 * j + 2, cur + h * k3)
-            cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            V[j + 1] = cur
+            V[j + 1] = _rk4_step(lyapunov, 2 * j, V[j], h)
         covs.append(V)
 
     # Total costs by trapezoid on the refined grid.
+    wgt = np.full(n_ref + 1, h)
+    wgt[0] = wgt[-1] = 0.5 * h
     costs = []
     for i, blk in enumerate(lq.blocks):
-        coop = lq.cooperation[i] == COOPERATIVE
-        others = [jj for jj in range(m) if jj != i]
+        Rinv = np.linalg.inv(blk.R)
         Rinv_Bt = np.linalg.solve(blk.R, blk.B.T)
         run = np.empty(n_ref + 1)
         for j in range(n_ref + 1):
             P = P_half[i][2 * j]
             V = covs[i][j]
             mi = means[i][j]
-            wi = offsets[i][j]
-            if coop:
-                ybar = wi
-            else:
-                ybar = P @ mi + wi
+            ybar = offsets[i][j] if coop[i] else P @ mi + offsets[i][j]
             abar = -Rinv_Bt @ ybar
             quad_ctrl = float(
-                np.trace(blk.B.T @ P @ V @ P @ blk.B @ np.linalg.inv(blk.R))
+                np.trace(blk.B.T @ P @ V @ P @ blk.B @ Rinv)
             ) + float(abar @ blk.R @ abar)
             e = mi - blk.S @ mi - blk.s
-            for pos, jj in enumerate(others):
+            for pos, jj in enumerate(others[i]):
                 e = e - blk.cross("S_bar", pos) @ means[jj][j]
             quad_state = float(np.trace(blk.W @ V)) + float(e @ blk.W @ e)
             run[j] = 0.5 * (quad_ctrl + quad_state)
-        wgt = np.full(n_ref + 1, h)
-        wgt[0] = wgt[-1] = 0.5 * h
         total = float(np.sum(wgt * run))
         eT = means[i][-1] - blk.G @ means[i][-1] - blk.h
-        for pos, jj in enumerate(others):
+        for pos, jj in enumerate(others[i]):
             eT = eT - blk.cross("G_bar", pos) @ means[jj][-1]
         total += 0.5 * (
             float(np.trace(blk.Wg @ covs[i][-1])) + float(eT @ blk.Wg @ eT)
         )
         costs.append(total)
 
-    P_ref = [P_half[i][::2] for i in range(m)]
     return LqSolution(
         lq=lq,
         grid=grid,
         refine=int(refine),
-        times=times_ref,
-        P=P_ref,
+        times=np.linspace(0.0, T, n_ref + 1),
+        P=[P[::2] for P in P_half],
         mean=means,
         offset=offsets,
         cov=covs,
