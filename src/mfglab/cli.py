@@ -46,11 +46,10 @@ from .fixedpoint import (
     FixedPointConfig,
     solve_matching,
     truncated_solve,
-    truncation_level,
     write_history_csv,
 )
 from .measures import (csv_line, flow_distance, flow_to_csv, jsonable,
-                       write_csv)
+                       truncation_level, write_csv)
 from .model import builtin_game, builtin_library
 from .nagent import (
     MODE_COMPETITIVE,

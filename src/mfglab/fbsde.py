@@ -572,7 +572,21 @@ class LqSpec:
     def __post_init__(self):
         if len(self.blocks) != len(self.cooperation):
             raise ValueError("one cooperation kind per block")
+        d = self.blocks[0].dim_x
         for idx, blk in enumerate(self.blocks):
+            if blk.dim_x != d:
+                raise ValueError(
+                    "population %d has state dimension %d but population 0 "
+                    "has %d; the cross blocks C, S_bar, G_bar need one"
+                    % (idx, blk.dim_x, d)
+                )
+            for name in ("C", "S_bar", "G_bar"):
+                if len(getattr(blk, name)) >= len(self.blocks):
+                    raise ValueError(
+                        "population %d %s has %d blocks for %d other "
+                        "populations" % (idx, name, len(getattr(blk, name)),
+                                         len(self.blocks) - 1)
+                    )
             eig = float(np.linalg.eigvalsh(blk.R).min())
             if eig < 2.0 * self.convexity_lambda - 1e-9:
                 raise ValueError(

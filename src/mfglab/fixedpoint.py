@@ -33,6 +33,7 @@ from .measures import (
     empirical_from_states,
     jsonable,
     truncate_phi_n,
+    truncation_level,
     write_csv,
 )
 from .model import COMPETITIVE
@@ -321,14 +322,6 @@ def _truncation_binding(spec, flows, level):
                 binding[str(k)] = sum(bound)
         out.append(binding)
     return out
-
-
-def truncation_level(level, name="level"):
-    """float(level); a ValueError led by name unless positive and finite."""
-    if not 0 < level < np.inf:  # NaN fails too
-        raise ValueError("%s: must be positive and finite, got %s"
-                         % (name, level))
-    return float(level)
 
 
 def truncated_solve(spec, level, config=None, seed=0, workers=1):

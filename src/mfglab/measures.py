@@ -93,15 +93,22 @@ class ParticleCloud:
         return "ParticleCloud(n=%d, dim=%d)" % (self.n, self.dim)
 
 
+def truncation_level(level, name="level"):
+    """float(level); a ValueError led by name unless positive and finite."""
+    if not 0 < level < np.inf:  # NaN fails too
+        raise ValueError("%s: must be positive and finite, got %s"
+                         % (name, level))
+    return float(level)
+
+
 def truncate_phi_n(cloud, n):
     """Radial truncation x -> n * x / max(M2, n) applied to every particle.
 
     When the cloud's second-moment scale M2 is already <= n the map is the
-    identity and the same cloud object is returned unchanged.
+    identity and the same cloud object is returned unchanged. The level
+    must pass truncation_level.
     """
-    n = float(n)
-    if n <= 0.0:
-        raise ValueError("truncation level must be positive")
+    n = truncation_level(n)
     m2 = cloud.moment2
     if m2 <= n:
         return cloud

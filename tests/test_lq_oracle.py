@@ -85,6 +85,27 @@ def test_lqspec_rejects_competitive_own_mean_drift():
                init_cov=lq.init_cov, convexity_lambda=lq.convexity_lambda)
 
 
+@pytest.mark.parametrize("name", ["C", "S_bar", "G_bar"])
+def test_lqspec_rejects_surplus_cross_blocks(name):
+    # a cross block past the last other population used to be ignored
+    lq = lq_from_game(builtin_game("lq-2pop-competitive"))
+    surplus = dataclasses.replace(lq.blocks[1],
+                                  **{name: (np.ones((1, 1)),) * 2})
+    with pytest.raises(ValueError, match="^population 1 %s has 2 blocks "
+                       "for 1 other populations$" % name):
+        dataclasses.replace(lq, blocks=(lq.blocks[0], surplus))
+
+
+def test_lqspec_rejects_mixed_state_dimensions():
+    # used to fail inside the oracle with a numpy broadcasting error
+    lq = lq_from_game(builtin_game("lq-2pop-competitive"))
+    eye = np.eye(2)
+    wide = PopulationLq(A=eye, B=eye, sigma=eye, R=eye, W=eye, Wg=eye)
+    with pytest.raises(ValueError, match="^population 1 has state "
+                       "dimension 2 but population 0 has 1;"):
+        dataclasses.replace(lq, blocks=(lq.blocks[0], wide))
+
+
 def test_lq_from_game_requires_metadata():
     with pytest.raises(ValueError):
         lq_from_game(builtin_game("nonlq-box"))
@@ -283,7 +304,11 @@ def test_lq2d_mixed_means_match_riccati():
     # population S_bar, so it checks the cross-term features and the d = 2
     # drift, noise and mean kernels against the matrix Riccati oracle, at
     # acceptance 2's budget (its constant diffusion reads no Z; the Z
-    # regression is gated by the state-linear diffusion test below)
+    # regression is gated by the state-linear diffusion test below). The
+    # same solve also gates the terminal cloud covariances, both costs and
+    # the competitive traders' field slope against the matrix P. Over
+    # seeds 0-29 they read at most 6.1% (cov), 2.47 standard errors (cost)
+    # and 3.1% (slope); seed 0 reads 1.5%, 1.84 and 1.5%
     spec = _lq2d_mixed_game()
     report = solve_matching(spec, FixedPointConfig(), seed=0)
     assert report.converged
@@ -295,6 +320,15 @@ def test_lq2d_mixed_means_match_riccati():
         target = oracle.means_on(grid, i)
         budget = 3e-2 * (1.0 + float(np.abs(target).max()))
         assert float(np.abs(emp - target).max()) <= budget
+        cov = np.cov(report.flows[i].clouds[-1].points, rowvar=False)
+        V = oracle.cov[i][-1]
+        assert np.abs(cov - V).max() <= 8e-2 * np.abs(V).max()
+        mean, se = report.costs[i]
+        assert abs(mean - oracle.costs[i]) <= 3.0 * se
+    sol = report.solutions[0]
+    for k, P in enumerate(oracle.P_on(grid, 0)):
+        slope = sol.field.linear_slope(k, sol.X[k])
+        assert np.abs(slope - P).max() <= 4e-2 * np.abs(P).max()
 
 
 def _state_linear_diffusion_slope_gaps(seed):

@@ -270,8 +270,10 @@ def test_truncation_map():
     out = truncate_phi_n(cloud, level)
     assert out.moment2 == pytest.approx(level)
     assert np.allclose(out.points, cloud.points * (level / m2))
-    with pytest.raises(ValueError):
-        truncate_phi_n(cloud, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^level: must be positive and "
+                           "finite, got %s$" % bad):
+            truncate_phi_n(cloud, bad)
 
 
 @settings(max_examples=200, deadline=None)
