@@ -572,13 +572,12 @@ class LqSpec:
     def __post_init__(self):
         if len(self.blocks) != len(self.cooperation):
             raise ValueError("one cooperation kind per block")
-        d = self.blocks[0].dim_x
         for idx, blk in enumerate(self.blocks):
-            if blk.dim_x != d:
+            if blk.dim_x != self.blocks[0].dim_x:
                 raise ValueError(
                     "population %d has state dimension %d but population 0 "
                     "has %d; the cross blocks C, S_bar, G_bar need one"
-                    % (idx, blk.dim_x, d)
+                    % (idx, blk.dim_x, self.blocks[0].dim_x)
                 )
             for name in ("C", "S_bar", "G_bar"):
                 if len(getattr(blk, name)) >= len(self.blocks):
