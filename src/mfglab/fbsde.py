@@ -572,6 +572,10 @@ class LqSpec:
     def __post_init__(self):
         if len(self.blocks) != len(self.cooperation):
             raise ValueError("one cooperation kind per block")
+        for name in ("init_mean", "init_cov"):
+            if len(getattr(self, name)) > len(self.blocks):
+                raise ValueError("%s has %d entries for %d populations" % (
+                    name, len(getattr(self, name)), len(self.blocks)))
         for idx, blk in enumerate(self.blocks):
             if blk.dim_x != self.blocks[0].dim_x:
                 raise ValueError(
@@ -579,6 +583,13 @@ class LqSpec:
                     "has %d; the cross blocks C, S_bar, G_bar need one"
                     % (idx, blk.dim_x, self.blocks[0].dim_x)
                 )
+            d = blk.dim_x
+            for name, shape in (("init_mean", (d,)), ("init_cov", (d, d))):
+                vals = getattr(self, name)
+                got = np.shape(vals[idx]) if idx < len(vals) else "no entry"
+                if got != shape:
+                    raise ValueError("population %d %s: expected shape %s, "
+                                     "got %s" % (idx, name, shape, got))
             for name in ("C", "S_bar", "G_bar"):
                 if len(getattr(blk, name)) >= len(self.blocks):
                     raise ValueError(

@@ -149,6 +149,23 @@ def test_minimize_error_reports_residual():
 _Q = np.array([[2.0, 0.7], [0.7, 1.0]])
 
 
+def test_box_closed_form_matches_the_projected_gradient():
+    # a quadratic cost with diagonal curvature under a box clips the
+    # unconstrained minimizer; the same cost declared non-quadratic takes
+    # the spectral projected gradient to the same controls
+    spec = builtin_game("lq-1pop")
+    pop = dataclasses.replace(spec.populations[0], action_set=ActionSet(
+        dimension=1, kind="box", lower=[-0.3], upper=[0.4]))
+    general = dataclasses.replace(pop, cost=dataclasses.replace(
+        pop.cost, quadratic_in_alpha=False))
+    mu, nus, X, Y = _sample(spec, 0, substream(4, "test-ham-box"), n=4096)
+    closed, spectral = (
+        minimize_controls(dataclasses.replace(spec, populations=(p,)), 0, 0.3,
+                          X, mu, nus, Y) for p in (pop, general))
+    assert np.mean(closed == -0.3) > 0.3 and np.mean(closed == 0.4) > 0.3
+    np.testing.assert_allclose(closed, spectral, rtol=0.0, atol=1e-12)
+
+
 def _two_action_game(Q, action_set=None):
     """2-d state, 2-d action LQ population with non-diagonal curvature Q."""
     lq = PopulationLq(A=np.zeros((2, 2)), B=[[1.0, 0.3], [-0.4, 0.8]],

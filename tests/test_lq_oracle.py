@@ -106,6 +106,24 @@ def test_lqspec_rejects_mixed_state_dimensions():
         dataclasses.replace(lq, blocks=(lq.blocks[0], wide))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("init_mean", (np.zeros(1),),
+     r"population 1 init_mean: expected shape \(1,\), got no entry"),
+    ("init_cov", (np.eye(1),),
+     r"population 1 init_cov: expected shape \(1, 1\), got no entry"),
+    ("init_cov", (np.eye(2), np.eye(1)),
+     r"population 0 init_cov: expected shape \(1, 1\), got \(2, 2\)"),
+    ("init_mean", (np.zeros(1),) * 3,
+     r"init_mean has 3 entries for 2 populations"),
+], ids=["short-mean", "short-cov", "wide-cov", "surplus-mean"])
+def test_lqspec_rejects_malformed_initial_moments(field, value, message):
+    # used to fail inside the oracle with numpy's matmul, index and
+    # broadcast errors
+    lq = lq_from_game(builtin_game("lq-2pop-competitive"))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        dataclasses.replace(lq, **{field: value})
+
+
 def test_lq_from_game_requires_metadata():
     with pytest.raises(ValueError):
         lq_from_game(builtin_game("nonlq-box"))
