@@ -74,19 +74,12 @@ class PicardError(RuntimeError):
         self.history = list(history)
 
 
-def _poly_mask(X):
-    """Active coordinates: those with non-degenerate sample spread."""
-    scale = np.abs(X).max(initial=0.0)
-    # std over contiguous rows: X.std(axis=0) is several times slower, d >= 2
-    return np.ascontiguousarray(X.T).std(axis=1) > 1e-12 * (1.0 + scale)
-
-
-def _features(X, degree, mask):
-    """Monomials up to degree in the active coordinates, constant first;
+def _features(X, degree):
+    """Monomials up to degree in the coordinates of X, constant first;
     each column is a lower-degree column times one coordinate."""
     Xt = np.ascontiguousarray(X.T)
     combos = [()] + [c for deg in range(1, degree + 1) for c in
-                     combinations_with_replacement(np.flatnonzero(mask), deg)]
+                     combinations_with_replacement(range(X.shape[1]), deg)]
     Ft = np.empty((len(combos), X.shape[0]))
     Ft[0] = 1.0
     for j, combo in enumerate(combos[1:], 1):
@@ -103,19 +96,22 @@ class KnotRegression:
     singular G can pass with a rounding-level last pivot), a thin SVD gives
     np.linalg.lstsq's minimum-norm solution at its default cutoff:
     singular values at or below eps * max(n, p) * s_max count as zero, so
-    rank-deficient, masked and badly scaled knots fit as lstsq fits them.
+    rank-deficient knots (one with a coordinate of no spread, say) and badly
+    scaled ones fit as lstsq fits them. Non-finite features raise
+    LinAlgError.
     """
 
-    def __init__(self, X, degree, mask=None):
-        self.mask = _poly_mask(X) if mask is None else mask
-        self.F = _features(X, degree, self.mask)
+    def __init__(self, X, degree):
+        self.F = _features(X, degree)
+        if not np.isfinite(self.F).all():
+            raise np.linalg.LinAlgError("non-finite features")
         self.G = self.F.T @ self.F
         try:
             L = np.linalg.cholesky(self.G)
             span = L.diagonal().max() / L.diagonal().min()
         except np.linalg.LinAlgError:
             span = np.inf
-        if span <= 1e3:  # a NaN span, from overflowed features, falls back
+        if span <= 1e3:  # a NaN span, from an overflowed G, falls back
             L_inv = np.linalg.inv(L)
             self._left, self._right = self.F.T, L_inv.T @ L_inv
             return
@@ -139,19 +135,16 @@ class DecouplingField:
     u(t, x, law(X_t)) of the master-field style feedback.
     """
 
-    def __init__(self, grid, dim_x, degree):
+    def __init__(self, grid, degree):
         self.grid = grid
-        self.dim_x = dim_x
         self.degree = degree
         self.coeffs = [None] * len(grid)
-        self.masks = [None] * len(grid)
         self.weight = None  # the mixing weight of the sweep that built it
 
     def fit_knot(self, k, fit, old, Y):
         """Fit knot k to the old values; the step beta_Y - beta_old and
         a.a, a.b, b.b for a = fitted old - old, b = fitted Y - fitted old."""
         self.coeffs[k], fitted_old = fit.solve(old)
-        self.masks[k] = fit.mask
         beta_y, fitted_y = fit.solve(Y)
         a, b = fitted_old - old, fitted_y - fitted_old
         return beta_y - self.coeffs[k], (np.vdot(a, a), np.vdot(a, b),
@@ -160,13 +153,11 @@ class DecouplingField:
     def eval(self, k, X):
         if self.coeffs[k] is None:
             raise RuntimeError("knot %d of the field was never fitted" % k)
-        F = _features(X, self.degree, self.masks[k])
-        return F @ self.coeffs[k]
+        return _features(X, self.degree) @ self.coeffs[k]
 
     def linear_slope(self, k, X):
         """Slope of a linear refit of the field on the sample (dy, dx)."""
-        fit = KnotRegression(X, 1, np.ones(self.dim_x, dtype=bool))
-        beta, _ = fit.solve(self.eval(k, X))
+        beta, _ = KnotRegression(X, 1).solve(self.eval(k, X))
         return beta[1:].T
 
 
@@ -354,7 +345,6 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
     grid = TimeGrid(spec.horizon, cfg.n_steps)
     _check_flows(spec, flows, grid)
     K = grid.n_steps
-    d = pop.state_dim
 
     xi, dW = solver_draws(spec, i, cfg.n_paths, grid, seed)
 
@@ -390,7 +380,7 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
                 costs=_path_costs(spec, i, grid, X, controls, measures),
                 picard_history=history, picard_dampings=weights, seed=seed)
         old_vals.append(prev_eval(K, X[K]))
-        new_field = DecouplingField(grid, d, cfg.degree)
+        new_field = DecouplingField(grid, cfg.degree)
         prev_steps, steps = steps, [None] * (K + 1)
         terms = np.empty((K + 1, 3))
         secant = [0.0, 0.0]
@@ -398,7 +388,7 @@ def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
         def refit(k, fit, Yk):
             steps[k], terms[k] = new_field.fit_knot(k, fit, old_vals[k], Yk)
             prev = prev_steps[k]
-            if prev is not None and prev.shape == steps[k].shape:
+            if prev is not None:
                 g_prev = fit.G @ prev
                 secant[0] += np.vdot(g_prev, steps[k] - prev)
                 secant[1] += np.vdot(g_prev, prev)
@@ -695,10 +685,9 @@ def solve_lq_riccati(lq, grid, refine=10):
     """
     m = len(lq.blocks)
     dims = [blk.dim_x for blk in lq.blocks]
-    T = lq.horizon
-    n_ref = int(refine) * grid.n_steps
-    h = T / n_ref
-    h2 = T / (2 * n_ref)
+    fine = TimeGrid(lq.horizon, int(refine) * grid.n_steps)
+    n_ref, h = fine.n_steps, fine.dt
+    h2 = 0.5 * h  # exact: the half-step grid's step
     coop = [kind == COOPERATIVE for kind in lq.cooperation]
     others = [[jj for jj in range(m) if jj != i] for i in range(m)]
     Kmat = [blk.B @ np.linalg.solve(blk.R, blk.B.T) for blk in lq.blocks]
@@ -819,8 +808,7 @@ def solve_lq_riccati(lq, grid, refine=10):
         covs.append(V)
 
     # Total costs by trapezoid on the refined grid.
-    wgt = np.full(n_ref + 1, h)
-    wgt[0] = wgt[-1] = 0.5 * h
+    wgt = _trapezoid_weights(fine)
     costs = []
     for i, blk in enumerate(lq.blocks):
         Rinv = np.linalg.inv(blk.R)
@@ -853,7 +841,7 @@ def solve_lq_riccati(lq, grid, refine=10):
         lq=lq,
         grid=grid,
         refine=int(refine),
-        times=np.linspace(0.0, T, n_ref + 1),
+        times=fine.times,
         P=[P[::2] for P in P_half],
         mean=means,
         offset=offsets,

@@ -4,8 +4,9 @@ validate_game probes a spec with seeded random states, actions, and
 measure clouds: finite-difference gradient checks, the convexity modulus
 of the running cost, slope and intercept growth bounds (a zero K + L *
 moment bound reads the intercept norm against 1e-9), declared structural
-flags, and action set properties. Every coefficient is called through
-_call, so one that fails anywhere is named with its population.
+flags, and action set properties. Every coefficient and projection is
+called through _call, so one that fails anywhere is named with its
+population.
 """
 
 from dataclasses import dataclass, field
@@ -60,10 +61,11 @@ def _spectral(arr):
     return float(np.linalg.norm(arr, 2))
 
 
-def _feasible(pop, rng, n, spread=1.5):
-    """Strictly feasible actions: shrink projected draws toward the anchor."""
-    raw = spread * rng.standard_normal((n, pop.action_set.dimension))
-    proj = pop.action_set.project(raw)
+def _feasible(pop, i, rng, n):
+    """Strictly feasible actions of population i (pop): shrink projected
+    draws toward the anchor."""
+    raw = 1.5 * rng.standard_normal((n, pop.action_set.dimension))
+    proj = _call(pop, i, "project", raw)
     anchor = pop.action_set.anchor_point[None, :]
     return anchor + 0.8 * (proj - anchor)
 
@@ -79,10 +81,11 @@ def _sample_context(spec, rng, scale):
 
 
 def _call(pop, i, name, *args):
-    """Population i's (pop's) drift, diffusion or cost coefficient, or its
-    initial law, called name, as a float array (None if absent); raises
-    CoefficientError naming the coefficient and i when it fails."""
-    parts = (pop.drift, pop.diffusion, pop.cost, pop)
+    """Population i's (pop's) drift, diffusion or cost coefficient, its
+    action set's project or its initial law, called name, as a float array
+    (None if absent); raises CoefficientError naming the coefficient and i
+    when it fails."""
+    parts = (pop.drift, pop.diffusion, pop.cost, pop.action_set, pop)
     fn = getattr(next(p for p in parts if hasattr(p, name)), name)
     if fn is None:
         return None
@@ -107,7 +110,7 @@ def _misshapen(spec, i, rng, t0, clouds0):
     k = pop.action_set.dimension
     mu0, nus0 = measure_args(spec, i, clouds0)
     x0 = rng.standard_normal((3, d))
-    a0 = _feasible(pop, rng, 3)
+    a0 = _feasible(pop, i, rng, 3)
     # (name, arguments, accepted shapes); the measure derivatives take x0
     # as direction points and may be constant in them
     coefficients = [
@@ -209,7 +212,7 @@ def validate_game(spec, n_samples=100, seed=0):
             continue
 
         # -- action set: idempotent, non-expansive, anchor fixed
-        project, anchor = pop.action_set.project, pop.action_set.anchor_point
+        project, anchor = partial(call, "project"), pop.action_set.anchor_point
         raw = 4.0 * rng.standard_normal((256, k))
         raw2 = 4.0 * rng.standard_normal((256, k))
         p1 = project(raw)
@@ -228,7 +231,7 @@ def validate_game(spec, n_samples=100, seed=0):
         for t, clouds in contexts:
             mu, nus = measure_args(spec, i, clouds)
             x = 2.0 * rng.standard_normal((per_group, d))
-            alpha = _feasible(pop, rng, per_group)
+            alpha = _feasible(pop, i, rng, per_group)
             probes = [
                 (lambda z: call("f", t, z, mu, nus, alpha), x,
                  call("df_dx", t, x, mu, nus, alpha)),
@@ -248,7 +251,7 @@ def validate_game(spec, n_samples=100, seed=0):
             for t, clouds in contexts[:3]:
                 mu, nus = measure_args(spec, i, clouds)
                 x = rng.standard_normal((1, d))
-                alpha = _feasible(pop, rng, 1)
+                alpha = _feasible(pop, i, rng, 1)
                 H = rng.standard_normal(mu.points.shape)
                 for name, dname, head, tail in (
                         ("f", "df_dmu", (t, x), (alpha,)),
@@ -266,8 +269,8 @@ def validate_game(spec, n_samples=100, seed=0):
         for t, clouds in contexts:
             mu, nus = measure_args(spec, i, clouds)
             x = 2.0 * rng.standard_normal((200, d))
-            a1 = _feasible(pop, rng, 200)
-            a2 = _feasible(pop, rng, 200)
+            a1 = _feasible(pop, i, rng, 200)
+            a2 = _feasible(pop, i, rng, 200)
             f1 = call("f", t, x, mu, nus, a1)
             grad = call("df_dalpha", t, x, mu, nus, a1)
             delta = a2 - a1
@@ -330,7 +333,7 @@ def validate_game(spec, n_samples=100, seed=0):
             for t, clouds in contexts[:3]:
                 mu, nus = measure_args(spec, i, clouds)
                 x = rng.standard_normal((32, d))
-                alpha = _feasible(pop, rng, 32)
+                alpha = _feasible(pop, i, rng, 32)
                 lin = call("quad_linear", t, x, mu, nus)
                 if lin is None:
                     lin = np.zeros((32, k))

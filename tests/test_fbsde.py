@@ -167,21 +167,27 @@ def test_last_allowed_sweep_may_converge():
     assert len(err.value.history) == s - 1
 
 
-def test_non_finite_field_change_stops_picard():
-    # a terminal gradient that is NaN on the paths with x > 2 (about 2% of
-    # them) makes NaN gaps, which a max starting from 0.0 would drop
-    spec = builtin_game("lq-scalar")
+def _with_nan_where_x_above_2(spec, name):
+    """spec with its cost gradient name NaN on the rows with x > 2."""
     pop = spec.populations[0]
-    base = pop.cost.dg_dx
+    base = getattr(pop.cost, name)
 
-    def dg_dx(x, mu, nus):
-        out = np.array(base(x, mu, nus), dtype=float)
+    def nan_above_2(*args):
+        out = np.array(base(*args), dtype=float)
+        x = args[1] if name == "df_dx" else args[0]
         out[x[:, 0] > 2.0] = np.nan
         return out
 
-    cost = dataclasses.replace(pop.cost, dg_dx=dg_dx)
-    bad = dataclasses.replace(
+    cost = dataclasses.replace(pop.cost, **{name: nan_above_2})
+    return dataclasses.replace(
         spec, populations=(dataclasses.replace(pop, cost=cost),))
+
+
+def test_non_finite_field_change_stops_picard():
+    # a running-cost gradient that is NaN on the paths with x > 2 (about 2%
+    # of them) leaves the states finite but makes NaN gaps, which a max
+    # starting from 0.0 would drop
+    bad = _with_nan_where_x_above_2(builtin_game("lq-scalar"), "df_dx")
     cfg = SolverConfig(n_steps=10, n_paths=256)
     flows = uncontrolled_flows(bad, cfg.n_steps, cfg.n_paths, 0)
     with pytest.raises(PicardError) as err:
@@ -189,6 +195,18 @@ def test_non_finite_field_change_stops_picard():
     assert "non-finite" in str(err.value)
     assert len(err.value.history) == 1
     assert np.isnan(err.value.history[0])
+
+
+def test_non_finite_states_fail_at_their_knot():
+    # a terminal gradient that is NaN on the paths with x > 2 makes the
+    # cold field's feedback NaN there, so the first sweep's states turn NaN;
+    # the backward pass stops at the first knot it factors, naming it
+    bad = _with_nan_where_x_above_2(builtin_game("lq-scalar"), "dg_dx")
+    cfg = SolverConfig(n_steps=10, n_paths=256)
+    flows = uncontrolled_flows(bad, cfg.n_steps, cfg.n_paths, 0)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^knot 10, max \|state\| "
+                       r"nan: non-finite features$"):
+        solve_adjoint(bad, 0, flows, cfg, seed=0)
 
 
 def test_warm_start_converges_at_least_as_fast():
@@ -486,33 +504,34 @@ def test_ill_conditioned_knots_take_the_svd_path(case, monkeypatch):
 
 
 def _knot_sample(rng, case, d, degree, n):
+    """States X of one knot, the degree, and the rank of their features."""
     if case == "two-valued":
         # x^2 is a combination of 1 and x, so the degree-2 basis has rank 2
         a = rng.uniform(-2.0, 2.0)
         X = np.where(rng.random((n, 1)) < 0.5, a, a + rng.uniform(0.5, 2.0))
-        return X, 2, [True]
+        return X, 2, 2
     X = rng.standard_normal((n, d))
-    if case == "masked":
+    if case == "constant-coordinate":
+        # d = 2: every monomial is a multiple of one in x_1 alone
         X[:, -1] = rng.uniform(-3.0, 3.0)
-        return X, degree, [True] * (d - 1) + [False]
-    return X, degree, [True] * d
+        return X, degree, degree + 1
+    return X, degree, _features(X, degree).shape[1]
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=st.sampled_from(["full", "masked", "two-valued"]),
+@given(case=st.sampled_from(["full", "constant-coordinate", "two-valued"]),
        d=st.integers(1, 2), degree=st.integers(1, 3), n=st.integers(40, 400),
        m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_knot_regression_matches_lstsq(case, d, degree, n, m, seed):
-    if case == "masked":
+    if case == "constant-coordinate":
         d = 2
     rng = np.random.default_rng(seed)
-    X, degree, mask = _knot_sample(rng, case, d, degree, n)
+    X, degree, rank = _knot_sample(rng, case, d, degree, n)
     targets = rng.standard_normal((n, m)) + X[:, :1] ** 2
     fit = KnotRegression(X, degree)
-    assert fit.mask.tolist() == mask
-    F = _features(X, degree, fit.mask)
-    beta_ref, _, rank, _ = np.linalg.lstsq(F, targets, rcond=None)
-    assert rank == (2 if case == "two-valued" else F.shape[1])
+    F = _features(X, degree)
+    beta_ref, _, rank_ref, _ = np.linalg.lstsq(F, targets, rcond=None)
+    assert rank_ref == rank
     beta, fitted = fit.solve(targets)
     np.testing.assert_allclose(beta, beta_ref, rtol=1e-9,
                                atol=1e-9 * np.abs(beta_ref).max())

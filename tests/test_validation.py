@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mfglab.cli import main
-from mfglab.model import ActionSet, ModelConstants, builtin_game, builtin_library
+from mfglab.model import (ActionSet, CoefficientError, ModelConstants,
+                          builtin_game, builtin_library)
 from mfglab.validation import validate_game
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "mfgbench",
@@ -397,6 +398,23 @@ def test_a_coefficient_that_raises_in_the_battery_is_named(tmp_path, capsys):
     assert _validate_cli(tmp_path, _RAISING_F_MODEL) == 1
     err = capsys.readouterr().err
     assert err == "run failed: f of population 0 failed: boom\n"
+
+
+def test_a_projection_that_raises_in_the_battery_is_named():
+    spec = builtin_game("nonlq-box")
+    box = spec.populations[0].action_set
+
+    def flaky(alphas):
+        # passes the anchor and shape checks, fails on larger batches
+        if len(alphas) > 3:
+            raise ValueError("boom")
+        return np.clip(alphas, box.lower, box.upper)
+
+    bad = _edit(spec, action_set=ActionSet(
+        dimension=box.dimension, kind="user-projection", projection=flaky))
+    with pytest.raises(CoefficientError,
+                       match=r"^project of population 0 failed: boom$"):
+        validate_game(bad, n_samples=50, seed=0)
 
 
 def _refuse_constant(name):
