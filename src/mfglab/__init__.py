@@ -31,7 +31,6 @@ from .measures import (
     MeasureFlow,
     ParticleCloud,
     TimeGrid,
-    empirical_from_states,
     flow_distance,
     flow_from_csv,
     flow_to_csv,

@@ -321,10 +321,6 @@ def _backward(spec, i, grid, X, dW, measures, degree, refit):
         refit(k, fit, Y)
 
 
-def _rms_gap(a, b):
-    return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
-
-
 def solve_adjoint(spec, i, flows, config=None, seed=0, initial_field=None):
     """Adjoint solve for population i against the input flows.
 
@@ -683,6 +679,8 @@ def solve_lq_riccati(lq, grid, refine=10):
     integrated backward on the half-step grid, so the forward RK4 steps of
     the means, offsets and covariances read it exactly at their midpoints.
     """
+    if not (refine >= 1 and refine % 1 == 0):  # NaN fails too
+        raise ValueError("refine: must be an integer >= 1, got %s" % refine)
     m = len(lq.blocks)
     dims = [blk.dim_x for blk in lq.blocks]
     fine = TimeGrid(lq.horizon, int(refine) * grid.n_steps)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .fbsde import (
     SolverConfig,
-    _rms_gap,
     euler_scheme,
     optimal_cost,
     secant_weight,
@@ -28,9 +27,7 @@ from .fbsde import (
 )
 from .measures import (
     MeasureFlow,
-    ParticleCloud,
     TimeGrid,
-    empirical_from_states,
     jsonable,
     truncate_phi_n,
     truncation_level,
@@ -116,8 +113,9 @@ def uncontrolled_flows(spec, n_steps, n_paths, seed):
     """Joint forward simulation with every control pinned at its anchor.
 
     All populations step together; each coefficient reads the live
-    empirical clouds of the current states. This is the fixed-point
-    initialization: cheap and always measure-feasible.
+    empirical clouds of the current states, and each flow holds its
+    population's paths. This is the fixed-point initialization: cheap and
+    always measure-feasible.
     """
     grid = TimeGrid(spec.horizon, n_steps)
     m = spec.n_populations
@@ -129,19 +127,19 @@ def uncontrolled_flows(spec, n_steps, n_paths, seed):
         spec, grid, range(m), xis, dWs,
         [lambda k, t, X, mu, nus, a=a: a for a in anchors], live=True,
     )
-    return [MeasureFlow(grid, [mu for mu, _ in rec.measures])
-            for rec in records]
+    return [MeasureFlow(grid, rec.paths) for rec in records]
 
 
 def _mix_flows(old, new, theta):
     """Particle by particle convex combination (1 - theta) old + theta new."""
     if theta >= 1.0:
         return new
-    clouds = [
-        ParticleCloud((1.0 - theta) * o.points + theta * n.points)
-        for o, n in zip(old.clouds, new.clouds)
-    ]
-    return MeasureFlow(old.grid, clouds)
+    return MeasureFlow(old.grid,
+                       (1.0 - theta) * old.points + theta * new.points)
+
+
+def _rms_gap(a, b):
+    return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))
 
 
 def _delta_ratio(deltas):
@@ -159,9 +157,9 @@ def _secant_slope(prev_inputs, prev_outputs, inputs, outputs, theta):
     outputs - inputs, summed knot by knot in population order."""
     num = den = 0.0
     for f0, p0, f1, p1 in zip(prev_inputs, prev_outputs, inputs, outputs):
-        for k in range(len(f1.grid)):
-            r0 = p0.clouds[k].points - f0.clouds[k].points
-            r1 = p1.clouds[k].points - f1.clouds[k].points
+        for x0, y0, x1, y1 in zip(f0.points, p0.points, f1.points, p1.points):
+            r0 = y0 - x0
+            r1 = y1 - x1
             num += float(np.sum(r0 * (r1 - r0)))
             den += float(np.sum(r0 * r0))
     return num / (theta * den)
@@ -173,10 +171,9 @@ def solve_matching(spec, config=None, seed=0, workers=1):
     Convergence is measured between successive Phi outputs per population
     by the paired RMS gap, an upper bound on their W2 and sliced W2 (see
     the module docstring); the reported flows are the last Phi output,
-    which by construction equals the empirical laws of the final
-    solutions' state paths. Returns a report regardless of convergence,
-    with the converged flag set accordingly; inner solver failures
-    propagate with the population index attached.
+    whose points are the final solutions' state paths. Returns a report
+    regardless of convergence, with the converged flag set accordingly;
+    inner solver failures propagate with the population index attached.
 
     The first mixing weight is config.theta; each later one is
     fbsde.secant_weight's -1/j, clipped to [THETA_MIN, 1], for a secant
@@ -213,11 +210,10 @@ def solve_matching(spec, config=None, seed=0, workers=1):
                 ) from exc
 
         solutions = parallel_map(one, list(range(m)), workers=workers)
-        outputs = [empirical_from_states(sol.grid, sol.X) for sol in solutions]
+        outputs = [MeasureFlow(sol.grid, sol.X) for sol in solutions]
         deltas = tuple(
-            max(_rms_gap(c.points, p.points)
-                for c, p in zip(outputs[i].clouds, prev_outputs[i].clouds))
-            for i in range(m)
+            max(_rms_gap(x, y) for x, y in zip(out.points, prev.points))
+            for out, prev in zip(outputs, prev_outputs)
         )
         delta = max(deltas)
         costs = [optimal_cost(sol) for sol in solutions]
@@ -240,13 +236,6 @@ def solve_matching(spec, config=None, seed=0, workers=1):
         prev_inputs, prev_outputs = frozen, outputs
         fields = [sol.field for sol in solutions]
 
-    for i in range(m):
-        for k in range(len(outputs[i].grid)):
-            if not np.array_equal(outputs[i].clouds[k].points, solutions[i].X[k]):
-                raise AssertionError(
-                    "reported flow of population %d diverges from its state "
-                    "paths at knot %d" % (i, k)
-                )
     return EquilibriumReport(
         spec_name=spec.name,
         flows=outputs,

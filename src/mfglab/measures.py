@@ -1,8 +1,9 @@
 """Empirical measures, time-indexed measure flows, and Wasserstein-2 tools.
 
 Probability measures are represented as uniformly weighted particle
-clouds (n rows in R^d). A measure flow is one cloud per knot of a uniform
-time grid. Distances are exact order-statistic Wasserstein-2 in d = 1 and
+clouds (n rows in R^d). A measure flow is one read-only (K+1, n, d)
+particle array on a uniform time grid, with a cloud view of each knot's
+rows. Distances are exact order-statistic Wasserstein-2 in d = 1 and
 a seeded sliced estimator in higher dimension.
 """
 
@@ -55,8 +56,10 @@ def row_mean(X):
 class ParticleCloud:
     """Uniformly weighted empirical measure given by its particle rows.
 
-    The stored array is a write-protected copy; clouds are treated as
-    immutable values. Mean and second moment are cached on first use.
+    The stored array is write-protected: a copy of the given points, or
+    for a flow's clouds a row of the flow's read-only points. Clouds are
+    treated as immutable values. Mean and second moment are cached on
+    first use.
     """
 
     def __init__(self, points):
@@ -70,8 +73,16 @@ class ParticleCloud:
         pts.setflags(write=False)
         self.points = pts
         self.n, self.dim = pts.shape
-        self._mean = None
-        self._moment2 = None
+        self._mean = self._moment2 = None
+
+    @classmethod
+    def _view(cls, rows):
+        """A cloud over read-only, finite (n, d) rows, kept uncopied."""
+        cloud = cls.__new__(cls)
+        cloud.points = rows
+        cloud.n, cloud.dim = rows.shape
+        cloud._mean = cloud._moment2 = None
+        return cloud
 
     @property
     def mean(self):
@@ -116,34 +127,35 @@ def truncate_phi_n(cloud, n):
 
 
 class MeasureFlow:
-    """One particle cloud per knot of a uniform time grid."""
+    """A flow of particle laws on a uniform time grid: one read-only
+    (K+1, n, d) array of points, and clouds[k] a read-only cloud view of
+    row k.
 
-    def __init__(self, grid, clouds):
-        clouds = list(clouds)
-        if len(clouds) != len(grid):
+    The flow keeps the array it is given and write-protects it in place.
+    It copies a writable view, whose base could still write into the
+    flow, and converts a list or a non-float array.
+    """
+
+    def __init__(self, grid, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (2, 3) or pts.shape[1] < 1:
             raise ValueError(
-                "need %d clouds for the grid, got %d" % (len(grid), len(clouds))
-            )
-        dims = {c.dim for c in clouds}
-        if len(dims) != 1:
-            raise ValueError("all clouds in a flow must share one dimension")
+                "flow points must have shape (K+1, n, d), or (K+1, n) when "
+                "d = 1, with n >= 1; got shape %s" % (pts.shape,))
+        if len(pts) != len(grid):
+            raise ValueError("flow has %d knots, the grid has %d"
+                             % (len(pts), len(grid)))
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("flow points contain non-finite entries")
+        if pts.flags.writeable and pts.base is not None:
+            pts = pts.copy()
+        pts.setflags(write=False)
+        if pts.ndim == 2:
+            pts = pts[:, :, None]
         self.grid = grid
-        self.clouds = clouds
-        self.dim = clouds[0].dim
-
-
-def empirical_from_states(grid, states):
-    """Build a flow from a (n_knots, n, d) array of particle paths."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 2:
-        states = states[:, :, None]
-    if states.ndim != 3:
-        raise ValueError("states must have shape (n_knots, n, d)")
-    if states.shape[0] != len(grid):
-        raise ValueError(
-            "states has %d knots, grid has %d" % (states.shape[0], len(grid))
-        )
-    return MeasureFlow(grid, [ParticleCloud(states[k]) for k in range(len(grid))])
+        self.points = pts
+        self.dim = pts.shape[2]
+        self.clouds = [ParticleCloud._view(row) for row in pts]
 
 
 def resample(cloud, n, seed=0):
@@ -315,11 +327,11 @@ def flow_to_csv(flow, path):
     with open(path, "w", newline="\n") as fh:
         header = ["knot", "time"] + ["x%d" % j for j in range(flow.dim)]
         fh.write(",".join(header) + "\n")
-        for k, cloud in enumerate(flow.clouds):
+        for k, rows in enumerate(flow.points):
             # one string per knot, so no text for the whole flow is built
             fmt = ("%d,%.17g," % (k, flow.grid.times[k])
                    + ",".join(["%.17g"] * flow.dim) + "\n")
-            fh.write((fmt * cloud.n) % tuple(cloud.points.ravel().tolist()))
+            fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def csv_line(cells):
@@ -365,26 +377,24 @@ def jsonable(value):
 
 
 def flow_from_csv(path):
-    """Read a flow written by flow_to_csv (bit-exact round trip)."""
-    knots = []
-    times = []
-    points = []
+    """Read a flow written by flow_to_csv (bit-exact round trip). The rows
+    must form K+1 equal blocks of consecutive knots, knot 0 first; a
+    ValueError naming the path refuses any other file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        for row in reader:
-            knots.append(int(row[0]))
-            times.append(float(row[1]))
-            points.append([float(v) for v in row[2 : 2 + dim]])
-    knots = np.asarray(knots)
-    times = np.asarray(times)
-    points = np.asarray(points)
-    n_knots = knots.max() + 1
-    horizon = times.max()
-    grid = TimeGrid(horizon, n_knots - 1)
-    clouds = [ParticleCloud(points[knots == k]) for k in range(n_knots)]
-    return MeasureFlow(grid, clouds)
+        dim = len(next(reader, ())) - 2
+        rows = [(int(r[0]), float(r[1]), [float(v) for v in r[2:2 + dim]])
+                for r in reader]
+    if not rows:
+        raise ValueError("%s: no flow rows below the header" % path)
+    knots, times, points = zip(*rows)
+    n = knots.count(0)  # particles per knot
+    if n == 0 or len(knots) % n or not np.array_equal(
+            knots, np.arange(len(knots)) // n):
+        raise ValueError("%s: rows are not equal blocks of consecutive "
+                         "knots from 0" % path)
+    grid = TimeGrid(max(times), len(knots) // n - 1)
+    return MeasureFlow(grid, np.reshape(points, (len(grid), n, dim)))
 
 
 def _require_dim(a, b, d):

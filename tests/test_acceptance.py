@@ -349,7 +349,7 @@ def _flows_equal(fa, fb):
 def _resampled(flow, seed):
     return MeasureFlow(
         flow.grid,
-        [resample(c, len(c.points), seed=seed + 31 * k)
+        [resample(c, len(c.points), seed=seed + 31 * k).points
          for k, c in enumerate(flow.clouds)],
     )
 

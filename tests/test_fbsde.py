@@ -23,8 +23,7 @@ from mfglab.fbsde import (
 from mfglab.fixedpoint import uncontrolled_flows
 from mfglab.hamiltonian import (dmu_hamiltonian_batch, dx_hamiltonian_batch,
                                 minimize_controls)
-from mfglab.measures import (MeasureFlow, ParticleCloud, TimeGrid,
-                             empirical_from_states)
+from mfglab.measures import MeasureFlow, ParticleCloud, TimeGrid
 from mfglab.model import (COOPERATIVE, builtin_game, gaussian_initial_law,
                           measure_args)
 from mfglab.model import DiffusionCoefficients, PopulationLq
@@ -227,7 +226,7 @@ def test_flow_mismatch_rejected():
 def test_state_flow_shape():
     spec, flows = _scalar_setup()
     sol = solve_adjoint(spec, 0, flows, CFG, seed=0)
-    flow = empirical_from_states(sol.grid, sol.X)
+    flow = MeasureFlow(sol.grid, sol.X)
     assert len(flow.clouds) == CFG.n_steps + 1
     assert flow.clouds[0].points.shape == (CFG.n_paths, 1)
     assert np.array_equal(flow.clouds[0].points, sol.X[0])
@@ -330,7 +329,7 @@ def test_euler_step_with_state_and_mean_linear_diffusion():
     alpha = rng.standard_normal((n, 1))
     dW = rng.standard_normal((1, n, 2)) * np.sqrt(grid.dt)
     frozen = ParticleCloud(rng.standard_normal((7, 2)) + 1.0)
-    flow = MeasureFlow(grid, [frozen, frozen])
+    flow = MeasureFlow(grid, [frozen.points, frozen.points])
     for live, m in ((True, x.mean(axis=0)), (False, frozen.mean)):
         (paths, _, _), = euler_scheme(spec, grid, (0,), [x], [dW],
                                       [lambda k, t, X, mu, nus: alpha],

@@ -22,8 +22,8 @@ from mfglab.fixedpoint import (
     write_history_csv,
 )
 from mfglab.hamiltonian import minimize_controls
-from mfglab.measures import (ParticleCloud, empirical_from_states,
-                             flow_distance, sliced_w2, wasserstein2_1d)
+from mfglab.measures import (MeasureFlow, ParticleCloud, flow_distance,
+                             sliced_w2, wasserstein2_1d)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, _lq1,
                           builtin_game, gaussian_initial_law,
                           population_from_lq)
@@ -61,7 +61,7 @@ def test_decoupled_game_converges_in_two_iterations():
     flows0 = uncontrolled_flows(single, 25, 1024, 0)
     from mfglab.fbsde import solve_adjoint
     sol = solve_adjoint(single, 0, flows0, SMALL.solver, seed=0)
-    lone = empirical_from_states(sol.grid, sol.X)
+    lone = MeasureFlow(sol.grid, sol.X)
     gaps = [
         wasserstein2_1d(report.flows[0].clouds[k], lone.clouds[k])
         for k in range(len(lone.clouds))
@@ -92,6 +92,14 @@ def test_contractive_delta_ratio():
     assert report.delta_ratio < 1.0
 
 
+def test_reported_flows_are_the_final_paths():
+    report = cached_equilibrium("lq-2pop-competitive", n_steps=10,
+                                n_paths=512)
+    for flow, sol in zip(report.flows, report.solutions):
+        assert flow.points.shape == sol.X.shape
+        assert flow.points.tobytes() == sol.X.tobytes()
+
+
 def test_nonconvergence_reported_not_raised():
     spec = builtin_game("lq-1pop")
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=256),
@@ -103,24 +111,25 @@ def test_nonconvergence_reported_not_raised():
 
 @pytest.mark.parametrize("model", ["lq-2pop-competitive", "lq2d_mixed.py"])
 def test_delta_is_the_paired_gap_and_bounds_flow_distance(model, monkeypatch):
-    # each Phi output is recorded as it is built; iteration 1 compares
-    # with the uncontrolled flows, which come from the same draws
+    # each Phi output is recorded as its adjoint solve returns; iteration 1
+    # compares with the uncontrolled flows, which come from the same draws
     if model.endswith(".py"):
         spec = runpy.run_path(os.path.join(MODELS, model))["make_game"]()
     else:
         spec = builtin_game(model)
     outputs, sliced_calls = [], []
+    solve = fixedpoint.solve_adjoint
 
-    def recording(grid, states):
-        flow = empirical_from_states(grid, states)
-        outputs.append(flow)
-        return flow
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        outputs.append(MeasureFlow(sol.grid, sol.X))
+        return sol
 
     def counting(*args, **kwargs):
         sliced_calls.append(1)
         return sliced_w2(*args, **kwargs)
 
-    monkeypatch.setattr(fixedpoint, "empirical_from_states", recording)
+    monkeypatch.setattr(fixedpoint, "solve_adjoint", recording)
     monkeypatch.setattr(measures, "sliced_w2", counting)
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
     report = solve_matching(spec, cfg, seed=0)
@@ -132,8 +141,8 @@ def test_delta_is_the_paired_gap_and_bounds_flow_distance(model, monkeypatch):
         now = outputs[m * t:m * (t + 1)]
         for i in range(m):
             paired = max(
-                np.sqrt(np.mean(np.sum((a.points - b.points) ** 2, axis=1)))
-                for a, b in zip(now[i].clouds, prev[i].clouds))
+                np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1)))
+                for a, b in zip(now[i].points, prev[i].points))
             assert row.deltas[i] == pytest.approx(paired, rel=1e-14, abs=0)
             # in d = 1 the two agree up to rounding where the pairing is
             # monotone at the worst knot
@@ -209,22 +218,28 @@ def test_picard_weights_open_cold_at_damping_and_warm_at_the_last(name):
 
 
 def test_previous_solutions_released_before_next_solves(monkeypatch):
-    # only the fields are read as warm starts, so the paths and controls of
-    # one iteration must be gone when the next iteration's solves begin
+    # only the fields are read as warm starts, so the solutions and controls
+    # of one iteration must be gone when the next iteration's solves begin;
+    # the last paths of each population live on only as its last Phi
+    # output's points, which the paired delta and the secant step read
     real = fixedpoint.solve_adjoint
-    refs, stale, last = [], [], [None]
+    spec = builtin_game("lq-2pop-competitive")
+    m = spec.n_populations
+    sols, controls, paths, stale, last = [], [], [], [], [None]
 
     def tracked(spec, i, flows, *args, **kwargs):
         if flows is not last[0]:
             last[0] = flows
             gc.collect()
-            stale.append(sum(r() is not None for r in refs))
+            stale.append(sum(r() is not None
+                             for r in sols + controls + paths[:-m]))
         sol = real(spec, i, flows, *args, **kwargs)
-        refs.extend((weakref.ref(sol.X), weakref.ref(sol.controls)))
+        sols.append(weakref.ref(sol))
+        controls.append(weakref.ref(sol.controls))
+        paths.append(weakref.ref(sol.X))
         return sol
 
     monkeypatch.setattr(fixedpoint, "solve_adjoint", tracked)
-    spec = builtin_game("lq-2pop-competitive")
     cfg = FixedPointConfig(solver=SolverConfig(n_steps=10, n_paths=512))
     report = solve_matching(spec, cfg, seed=0)
     assert report.iterations >= 3

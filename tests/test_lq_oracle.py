@@ -53,6 +53,14 @@ def test_riccati_refinement_order():
     assert err[8] <= err[1] / 100.0
 
 
+@pytest.mark.parametrize("refine", [0, 0.5, -1, 2.5])
+def test_riccati_refuses_a_bad_refine(refine):
+    lq = lq_from_game(builtin_game("lq-scalar"))
+    with pytest.raises(ValueError, match=r"^refine: must be an integer >= 1, "
+                       r"got %s$" % refine):
+        solve_lq_riccati(lq, TimeGrid(1.0, 50), refine=refine)
+
+
 def test_riccati_blow_up_raises():
     spec = builtin_game("lq-scalar")
     lq = lq_from_game(spec)

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mfglab.measures import (
     MeasureFlow,
     ParticleCloud,
     TimeGrid,
-    empirical_from_states,
     flow_distance,
     flow_from_csv,
     flow_to_csv,
@@ -300,9 +300,7 @@ def test_resample_deterministic():
 def _random_flow(seed, n_steps=5, n=16, d=2):
     rng = substream(seed, "test-flow")
     grid = TimeGrid(1.0, n_steps)
-    clouds = [ParticleCloud(rng.standard_normal((n, d)))
-              for _ in range(n_steps + 1)]
-    return MeasureFlow(grid, clouds)
+    return MeasureFlow(grid, rng.standard_normal((n_steps + 1, n, d)))
 
 
 def test_flow_distance_zero_on_identical():
@@ -320,13 +318,33 @@ def test_flow_csv_round_trip(tmp_path):
         assert np.array_equal(c1.points, c2.points)
 
 
+@pytest.mark.parametrize("body", [
+    "0,0,1\n0,0,2\n0,0,3\n1,1,4\n1,1,5\n",  # 3 rows at knot 0, 2 at 1
+    "1,1,4\n1,1,5\n0,0,1\n0,0,2\n",  # knots out of order
+    "0,0,1\n1,0.5,2\n0,0,3\n1,0.5,4\n",  # knots interleaved
+])
+def test_flow_csv_refuses_unequal_or_unordered_knots(tmp_path, body):
+    path = tmp_path / "flow.csv"
+    path.write_text("knot,time,x0\n" + body)
+    with pytest.raises(ValueError, match="^%s: rows are not equal blocks of "
+                       "consecutive knots from 0$" % re.escape(str(path))):
+        flow_from_csv(str(path))
+
+
+def test_flow_csv_refuses_a_header_without_rows(tmp_path):
+    path = tmp_path / "flow.csv"
+    path.write_text("knot,time,x0\n")
+    with pytest.raises(ValueError, match="^%s: no flow rows below the "
+                       "header$" % re.escape(str(path))):
+        flow_from_csv(str(path))
+
+
 def test_flow_csv_bytes_match_csv_writer(tmp_path):
     values = [-0.0, 5e-324, 1e22, 0.1, -1.5, 2.0 / 3.0]
     for d in (1, 2):
         rows = np.array(values * d).reshape(-1, d)
         grid = TimeGrid(0.3, 2)
-        flow = MeasureFlow(grid, [ParticleCloud(rows * s)
-                                  for s in (1.0, -1.0, 0.5)])
+        flow = MeasureFlow(grid, [rows * s for s in (1.0, -1.0, 0.5)])
         path = tmp_path / ("flow%d.csv" % d)
         flow_to_csv(flow, str(path))
         ref = tmp_path / ("ref%d.csv" % d)
@@ -360,7 +378,7 @@ def test_flow_csv_bytes_match_per_row_formatter(tmp_path_factory, d, n,
     count = (n_steps + 1) * n * d
     pts = np.resize(np.array(values), count).reshape(n_steps + 1, n, d)
     grid = TimeGrid(horizon, n_steps)
-    flow = MeasureFlow(grid, [ParticleCloud(p) for p in pts])
+    flow = MeasureFlow(grid, pts)
     path = tmp_path_factory.mktemp("csv") / "flow.csv"
     flow_to_csv(flow, str(path))
     # the per-row formatter flow_to_csv used before
@@ -372,12 +390,40 @@ def test_flow_csv_bytes_match_per_row_formatter(tmp_path_factory, d, n,
     assert path.read_bytes() == ref.encode()
 
 
-def test_empirical_from_states():
-    states = np.arange(24.0).reshape(3, 4, 2)
+def test_flow_clouds_are_read_only_row_views():
     grid = TimeGrid(1.0, 2)
-    flow = empirical_from_states(grid, states)
-    assert len(flow.clouds) == 3
-    assert np.array_equal(flow.clouds[1].points, states[1])
+    owned = np.arange(24.0).reshape(3, 4, 2).copy()
+    flow = MeasureFlow(grid, owned)
+    assert len(flow.clouds) == 3 and flow.dim == 2
+    assert np.array_equal(flow.clouds[1].points, owned[1])
+    # an array that owns its data is kept and write-protected in place
+    assert flow.points is owned and not owned.flags.writeable
+    # a writable view is copied, so its base cannot write into the flow;
+    # (K+1, n) points are a d = 1 flow
+    base = np.arange(6.0)
+    line = MeasureFlow(grid, base.reshape(3, 2))
+    assert line.points.shape == (3, 2, 1) and line.dim == 1
+    assert not np.shares_memory(line.points, base)
+    for f in (flow, line):
+        assert not f.points.flags.writeable
+        for k, cloud in enumerate(f.clouds):
+            assert not cloud.points.flags.writeable
+            assert np.shares_memory(cloud.points, f.points)
+            assert np.array_equal(cloud.points, f.points[k])
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((4, 5, 1)), "flow has 4 knots, the grid has 3"),
+    (np.zeros((3, 5, 1, 1)), r"flow points must have shape \(K\+1, n, d\), "
+     r"or \(K\+1, n\) when d = 1, with n >= 1; got shape \(3, 5, 1, 1\)"),
+    (np.zeros(3), r"got shape \(3,\)"),
+    (np.zeros((3, 0, 1)), r"got shape \(3, 0, 1\)"),
+    (np.where(np.arange(15).reshape(3, 5, 1) == 7, np.nan, 0.0),
+     "flow points contain non-finite entries"),
+])
+def test_flow_refuses_malformed_points(points, message):
+    with pytest.raises(ValueError, match=message):
+        MeasureFlow(TimeGrid(1.0, 2), points)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from mfglab.fbsde import _path_costs, euler_scheme
 from mfglab.fixedpoint import solve_matching
 from mfglab.hamiltonian import field_feedback, minimize_controls
 from mfglab.measures import (ParticleCloud, TimeGrid, cells_w2sq,
-                             empirical_from_states, quantile_cells, sliced_w2,
+                             MeasureFlow, quantile_cells, sliced_w2,
                              sorted_slices)
 from mfglab.model import (COMPETITIVE, GameSpec, ModelConstants, PopulationLq,
                           builtin_game, builtin_library, gaussian_initial_law,
@@ -76,7 +76,7 @@ def test_empirical_flow_matches_states():
     spec = builtin_game("lq-1pop")
     eq = cached_equilibrium("lq-1pop", n_steps=10, n_paths=512)
     system = simulate_interacting(spec, eq, 16, seed=0)
-    flow = empirical_from_states(system.grid, system.paths[0])
+    flow = MeasureFlow(system.grid, system.paths[0])
     assert len(flow.clouds) == 11
     assert np.array_equal(flow.clouds[4].points, system.paths[0][4])
 
